@@ -27,8 +27,8 @@ use crate::encode::{cv_step, cv_step_root, CvSchedule, SeqEncoder};
 use crate::packing::FractionalPacking;
 use anonet_bigmath::{PackingValue, UBig};
 use anonet_sim::{
-    run_bcast_many, run_bcast_threads, BcastAlgorithm, BcastJob, MessageSize, RunResult,
-    SetCoverInstance, SimError, Trace,
+    run_bcast_many, run_engine_scratch, BcastAlgorithm, BcastJob, Broadcast, EngineOptions,
+    EngineScratch, MessageSize, RunResult, SetCoverInstance, SimError, Trace,
 };
 
 /// Global configuration: the paper's f, k, W and derived quantities.
@@ -567,11 +567,30 @@ pub fn run_fractional_packing_with<V: PackingValue>(
     max_weight: u64,
     threads: usize,
 ) -> Result<ScRun<V>, SimError> {
+    run_fractional_packing_scratch(inst, f, k, max_weight, threads, &mut EngineScratch::new())
+}
+
+/// [`run_fractional_packing_with`] reusing engine allocations across calls —
+/// the repeated-short-run entry point (results bit-identical).
+pub fn run_fractional_packing_scratch<V: PackingValue>(
+    inst: &SetCoverInstance,
+    f: usize,
+    k: usize,
+    max_weight: u64,
+    threads: usize,
+    scratch: &mut EngineScratch<ScNode<V>, Broadcast>,
+) -> Result<ScRun<V>, SimError> {
     let cfg = ScConfig::new(f, k, max_weight);
     let inputs: Vec<Option<u64>> =
         (0..inst.graph.n()).map(|v| inst.is_subset(v).then(|| inst.weights[v])).collect();
-    let res: RunResult<ScOutput<V>> =
-        run_bcast_threads::<ScNode<V>>(&inst.graph, &cfg, &inputs, cfg.total_rounds(), threads)?;
+    let res: RunResult<ScOutput<V>> = run_engine_scratch::<ScNode<V>, Broadcast>(
+        &inst.graph,
+        &cfg,
+        &inputs,
+        cfg.total_rounds(),
+        EngineOptions::threads(threads),
+        scratch,
+    )?;
     Ok(assemble_sc_run(inst, res))
 }
 

@@ -30,8 +30,8 @@ use crate::sc_bcast::{ScConfig, ScMsg, ScNode, ScOutput};
 use crate::vc_pn::VcInstance;
 use anonet_bigmath::PackingValue;
 use anonet_sim::{
-    run_bcast_many, run_bcast_threads, BcastAlgorithm, BcastJob, Graph, MessageSize, RunResult,
-    SimError, Trace,
+    run_bcast_many, run_engine_scratch, BcastAlgorithm, BcastJob, Broadcast, EngineOptions,
+    EngineScratch, Graph, MessageSize, RunResult, SimError, Trace,
 };
 use std::collections::HashMap;
 
@@ -221,9 +221,28 @@ pub fn run_vc_broadcast_with<V: PackingValue>(
     max_weight: u64,
     threads: usize,
 ) -> Result<VcBcastRun<V>, SimError> {
+    run_vc_broadcast_scratch(g, weights, delta, max_weight, threads, &mut EngineScratch::new())
+}
+
+/// [`run_vc_broadcast_with`] reusing engine allocations across calls — the
+/// repeated-short-run entry point (results bit-identical).
+pub fn run_vc_broadcast_scratch<V: PackingValue>(
+    g: &Graph,
+    weights: &[u64],
+    delta: usize,
+    max_weight: u64,
+    threads: usize,
+    scratch: &mut EngineScratch<VcBcastNode<V>, Broadcast>,
+) -> Result<VcBcastRun<V>, SimError> {
     let cfg = VcBcastConfig::new(delta, max_weight);
-    let res: RunResult<VcBcastOutput<V>> =
-        run_bcast_threads::<VcBcastNode<V>>(g, &cfg, weights, cfg.total_rounds(), threads)?;
+    let res: RunResult<VcBcastOutput<V>> = run_engine_scratch::<VcBcastNode<V>, Broadcast>(
+        g,
+        &cfg,
+        weights,
+        cfg.total_rounds(),
+        EngineOptions::threads(threads),
+        scratch,
+    )?;
     Ok(assemble_vc_bcast_run(res))
 }
 

@@ -25,7 +25,8 @@ use crate::encode::{cv_step, cv_step_root, CvSchedule, SeqEncoder};
 use crate::packing::EdgePacking;
 use anonet_bigmath::{PackingValue, UBig};
 use anonet_sim::{
-    run_pn_many, run_pn_threads, Graph, MessageSize, PnAlgorithm, PnJob, RunResult, SimError, Trace,
+    run_engine_scratch, run_pn_many, EngineOptions, EngineScratch, Graph, MessageSize, PnAlgorithm,
+    PnJob, PortNumbering, RunResult, SimError, Trace,
 };
 use std::cmp::Ordering;
 
@@ -560,9 +561,28 @@ pub fn run_edge_packing_with<V: PackingValue>(
     max_weight: u64,
     threads: usize,
 ) -> Result<VcRun<V>, SimError> {
+    run_edge_packing_scratch(g, weights, delta, max_weight, threads, &mut EngineScratch::new())
+}
+
+/// [`run_edge_packing_with`] reusing engine allocations across calls — the
+/// repeated-short-run entry point (results bit-identical).
+pub fn run_edge_packing_scratch<V: PackingValue>(
+    g: &Graph,
+    weights: &[u64],
+    delta: usize,
+    max_weight: u64,
+    threads: usize,
+    scratch: &mut EngineScratch<EdgePackingNode<V>, PortNumbering>,
+) -> Result<VcRun<V>, SimError> {
     let cfg = VcConfig::new(delta, max_weight);
-    let res: RunResult<VcOutput<V>> =
-        run_pn_threads::<EdgePackingNode<V>>(g, &cfg, weights, cfg.total_rounds(), threads)?;
+    let res: RunResult<VcOutput<V>> = run_engine_scratch::<EdgePackingNode<V>, PortNumbering>(
+        g,
+        &cfg,
+        weights,
+        cfg.total_rounds(),
+        EngineOptions::threads(threads),
+        scratch,
+    )?;
     Ok(assemble_vc_run(g, res))
 }
 

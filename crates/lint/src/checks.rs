@@ -151,13 +151,16 @@ impl Config {
             ]),
             determinism_exempt: s(&["crates/obs/src/clock.rs"]),
             // `RoundPool` (the engine's only parallelism), the service's
-            // accept/worker spawns, loadgen's scoped client threads, and
-            // the one thread the reactor event loop runs on.
+            // accept/worker spawns, the one thread the reactor event loop
+            // runs on, and the client load generators' scoped threads: loadgen
+            // and the served-path benchmark's connections — neither is
+            // engine parallelism.
             thread_files: s(&[
                 "crates/sim/src/pool.rs",
                 "crates/service/src/server.rs",
                 "crates/service/src/loadgen.rs",
                 "crates/service/src/reactor.rs",
+                "perfbench/src/conn.rs",
             ]),
             // PR 4's hardening: service shared-state mutexes recover from
             // poisoning via `clear_poison` accessors, never unwrap.

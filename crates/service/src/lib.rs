@@ -20,12 +20,12 @@
 //!   baselines PS3, KVY-(2+ε) and BCHS-(2+ε)), consumed by wire decode,
 //!   server dispatch, telemetry registration, the load generator, and the
 //!   bench bins — registering a solver is a one-row change;
-//! * [`server`] — accept loop, bounded job queue with backpressure (a full
-//!   queue answers `Busy` + retry-after instead of blocking), and a worker
-//!   pool that dispatches each request to its solver's registry entry point
-//!   (the legacy solvers funnel through the
-//!   `anonet_sim::batch::BatchRunner`-backed `_many` entry points), so
-//!   responses are bit-identical to direct batch runs;
+//! * [`server`] — accept loop, one request dispatch for both connection
+//!   models, bounded job queue with backpressure (a full queue answers
+//!   `Busy` + retry-after instead of blocking), and a worker pool whose one
+//!   `execute` loop fans each request's uncached instances through their solver's
+//!   per-instance registry entry point, so responses are bit-identical to
+//!   direct batch runs;
 //! * [`cache`] — an LRU result cache keyed by the canonical instance + mode
 //!   bytes, with hit/miss/eviction counters surfaced through the stats
 //!   endpoint;

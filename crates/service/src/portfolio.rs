@@ -5,9 +5,9 @@
 //! Each entry is a [`SolverDescriptor`]: the stable wire id, the name (which
 //! doubles as the telemetry counter suffix and the flight-recorder label),
 //! the communication model, capability flags, the approximation factor as an
-//! **exact rational**, and the execute entry point the worker calls. Adding
-//! a solver is a one-row change here — nothing else in the stack enumerates
-//! solver kinds by hand.
+//! **exact rational**, and the per-instance `solve` entry point the server's
+//! `execute` fans out. Adding a solver is a one-row change here — nothing else
+//! in the stack enumerates solver kinds by hand.
 //!
 //! ## Wire ids
 //!
@@ -31,8 +31,7 @@
 //! carry the machine-checkable half-matching bound `|C| ≤ 4·Σy`, and the
 //! 3-approximation is cross-validated against `anonet-exact` in tests.
 
-use crate::server::Shared;
-use crate::wire::{self, ExecMode, Scenario, SolveRequest, SolveResponse, WireTrace};
+use crate::wire::{ExecMode, Scenario, WireTrace};
 use anonet_baselines::bchs::run_bchs;
 use anonet_baselines::kvy_eps::run_kvy;
 use anonet_baselines::ps3::{half_matching_packing, run_ps3_scratch, PsNode};
@@ -40,15 +39,15 @@ use anonet_bigmath::{AutoRat, BigRat};
 use anonet_core::canon;
 use anonet_core::certify::{
     certify_set_cover, certify_vertex_cover, certify_vertex_cover_rational, Certificate,
+    CertifyError,
 };
-use anonet_core::sc_bcast::{run_fractional_packing_many_with, ScInstance};
-use anonet_core::vc_bcast::run_vc_broadcast_many;
-use anonet_core::vc_pn::{
-    fold_vc_outputs, run_edge_packing_many, EdgePackingNode, VcConfig, VcInstance,
-};
+use anonet_core::packing::EdgePacking;
+use anonet_core::sc_bcast::{run_fractional_packing_scratch, ScNode};
+use anonet_core::vc_bcast::{run_vc_broadcast_scratch, VcBcastNode};
+use anonet_core::vc_pn::{fold_vc_outputs, run_edge_packing_scratch, EdgePackingNode, VcConfig};
 use anonet_runtime::{run_async_pn, scenario, AsyncTrace, NetworkConfig};
-use anonet_sim::pool as sim_pool;
-use anonet_sim::{EngineScratch, PortNumbering, Trace};
+use anonet_sim::{Broadcast, EngineScratch, PortNumbering, SimError, Trace};
+use std::cell::RefCell;
 
 /// A solver's stable wire identifier — the byte after the message header in
 /// a solve request. Only ids present in the registry are constructible, so a
@@ -111,13 +110,15 @@ pub enum InstanceKind {
     SetCover,
 }
 
-/// Per-instance outcome on the server side: `(from_cache, body)` with `body`
-/// from `wire::encode_solved_body`, or an error message.
-pub(crate) type InstanceOutcome = Result<(bool, Vec<u8>), String>;
+/// One solved instance: the cover, its Bar-Yehuda–Even certificate, and the
+/// run's trace.
+pub(crate) type Solution = (Vec<bool>, Certificate<BigRat>, WireTrace);
 
-/// The execute entry point: runs the not-yet-cached instances (`missing` are
-/// indices into `req.instances`) and returns one outcome per index in order.
-pub(crate) type SolverRun = fn(&Shared, &SolveRequest, &[usize]) -> Vec<InstanceOutcome>;
+/// A solver's per-instance entry point: decodes one canonical blob, runs it
+/// under the request's mode, and certifies the result. The server's `execute`
+/// owns everything around it: mode checks, caching, fan-out, telemetry and
+/// encoding.
+pub(crate) type Solve = fn(&SolverDescriptor, &[u8], ExecMode) -> Result<Solution, String>;
 
 /// One registered solver — everything the stack needs to decode, dispatch,
 /// meter, load-test, and document it.
@@ -142,7 +143,7 @@ pub struct SolverDescriptor {
     pub rounds: &'static str,
     /// Whether the async runtime path serves this solver.
     pub supports_async: bool,
-    pub(crate) run: SolverRun,
+    pub(crate) solve: Solve,
 }
 
 /// ε = 1/4 for the served (2+ε) solvers: certified factor 2/(1−ε) = 8/3.
@@ -165,7 +166,7 @@ static SOLVERS: &[SolverDescriptor] = &[
         factor_den: 1,
         rounds: "O(Δ + log*W)",
         supports_async: true,
-        run: run_vc_pn,
+        solve: solve_vc_pn,
     },
     SolverDescriptor {
         id: SolverId::VC_BCAST,
@@ -175,9 +176,9 @@ static SOLVERS: &[SolverDescriptor] = &[
         weighted: true,
         factor_num: 2,
         factor_den: 1,
-        rounds: "O(Δ + log*W) (simulated broadcast)",
+        rounds: "O(Δ² + Δ·log*W) (simulated broadcast)",
         supports_async: false,
-        run: run_vc_bcast,
+        solve: solve_vc_bcast,
     },
     SolverDescriptor {
         id: SolverId::SET_COVER,
@@ -187,9 +188,9 @@ static SOLVERS: &[SolverDescriptor] = &[
         weighted: true,
         factor_num: 0, // f is instance-dependent; the certificate carries it
         factor_den: 1,
-        rounds: "O(f·k + f·log*W)",
+        rounds: "O(f²k² + fk·log*W)",
         supports_async: false,
-        run: run_set_cover,
+        solve: solve_set_cover,
     },
     SolverDescriptor {
         id: SolverId::VC_PS3,
@@ -201,7 +202,7 @@ static SOLVERS: &[SolverDescriptor] = &[
         factor_den: 1,
         rounds: "2Δ",
         supports_async: false,
-        run: run_vc_ps3,
+        solve: solve_vc_ps3,
     },
     SolverDescriptor {
         id: SolverId::VC_KVY,
@@ -213,7 +214,7 @@ static SOLVERS: &[SolverDescriptor] = &[
         factor_den: 3,
         rounds: "data-dependent (grows with W)",
         supports_async: false,
-        run: run_vc_kvy,
+        solve: solve_vc_kvy,
     },
     SolverDescriptor {
         id: SolverId::VC_BCHS,
@@ -225,7 +226,7 @@ static SOLVERS: &[SolverDescriptor] = &[
         factor_den: 3,
         rounds: "data-dependent, weight-scale-free",
         supports_async: false,
-        run: run_vc_bchs,
+        solve: solve_vc_bchs,
     },
 ];
 
@@ -241,7 +242,7 @@ pub fn by_name(name: &str) -> Option<&'static SolverDescriptor> {
     SOLVERS.iter().find(|d| d.name == norm)
 }
 
-pub(crate) fn sync_trace(t: &Trace) -> WireTrace {
+fn sync_trace(t: &Trace) -> WireTrace {
     WireTrace {
         is_async: false,
         rounds: t.rounds,
@@ -266,7 +267,7 @@ fn async_trace(t: &AsyncTrace) -> WireTrace {
     }
 }
 
-pub(crate) fn scenario_config(s: Scenario, seed: u64) -> NetworkConfig {
+fn scenario_config(s: Scenario, seed: u64) -> NetworkConfig {
     match s {
         Scenario::Ideal => scenario::ideal(),
         Scenario::Datacenter => scenario::datacenter(seed),
@@ -287,239 +288,146 @@ fn widen_cert(c: Certificate<AutoRat>) -> Certificate<BigRat> {
     }
 }
 
-/// Decodes the VC blobs of the `missing` instances, keeping per-instance
-/// errors in place so outcomes line up with request order.
-fn decode_vc_batch(
-    req: &SolveRequest,
-    missing: &[usize],
-) -> Vec<Result<canon::OwnedVcInstance, String>> {
-    missing
-        .iter()
-        .map(|&i| canon::decode_vc(&req.instances[i]).map_err(|e| e.to_string()))
-        .collect()
+// One engine scratch per thread and engine-driven solver: `execute` calls
+// `solve` once per instance on the service worker or its pool threads, so
+// every run after a thread's first reuses the previous engine's allocations
+// (results are bit-identical to a fresh scratch).
+thread_local! {
+    static PN_SCRATCH: RefCell<EngineScratch<EdgePackingNode<AutoRat>, PortNumbering>> =
+        RefCell::new(EngineScratch::new());
+    static VC_BCAST_SCRATCH: RefCell<EngineScratch<VcBcastNode<AutoRat>, Broadcast>> =
+        RefCell::new(EngineScratch::new());
+    static SC_SCRATCH: RefCell<EngineScratch<ScNode<AutoRat>, Broadcast>> =
+        RefCell::new(EngineScratch::new());
+    static PS3_SCRATCH: RefCell<EngineScratch<PsNode, PortNumbering>> =
+        RefCell::new(EngineScratch::new());
 }
 
-fn run_vc_pn(shared: &Shared, req: &SolveRequest, missing: &[usize]) -> Vec<InstanceOutcome> {
-    let threads = shared.cfg.threads_per_job;
-    let decoded = decode_vc_batch(req, missing);
-    match req.mode {
+fn execution_failed(e: SimError) -> String {
+    format!("execution failed: {e}")
+}
+
+fn certification_failed(e: CertifyError) -> String {
+    format!("certification failed: {e}")
+}
+
+/// Decodes a VC blob, rejecting non-unit weights when the solver's row says
+/// it is unweighted.
+fn decode_vc(desc: &SolverDescriptor, blob: &[u8]) -> Result<canon::OwnedVcInstance, String> {
+    let d = canon::decode_vc(blob).map_err(|e| e.to_string())?;
+    if !desc.weighted {
+        if let Some(w) = d.weights.iter().find(|&&w| w != 1) {
+            return Err(format!("solver {} is unweighted: weight {w} ≠ 1 present", desc.name));
+        }
+    }
+    Ok(d)
+}
+
+/// Certifies a vertex cover at the row's rational factor (see the module
+/// docs on pre-scaling the dual).
+fn certify_rational(
+    desc: &SolverDescriptor,
+    d: &canon::OwnedVcInstance,
+    cover: Vec<bool>,
+    packing: &EdgePacking<AutoRat>,
+    trace: &Trace,
+) -> Result<Solution, String> {
+    let cert = certify_vertex_cover_rational(
+        &d.graph,
+        &d.weights,
+        packing,
+        &cover,
+        desc.factor_num,
+        desc.factor_den,
+    )
+    .map_err(certification_failed)?;
+    Ok((cover, widen_cert(cert), sync_trace(trace)))
+}
+
+fn solve_vc_pn(desc: &SolverDescriptor, blob: &[u8], mode: ExecMode) -> Result<Solution, String> {
+    let d = decode_vc(desc, blob)?;
+    let (cover, packing, trace) = match mode {
         ExecMode::Sync => {
-            let good: Vec<&canon::OwnedVcInstance> =
-                decoded.iter().filter_map(|d| d.as_ref().ok()).collect();
-            let insts: Vec<VcInstance<'_>> = good
-                .iter()
-                .map(|d| VcInstance::with_bounds(&d.graph, &d.weights, d.delta, d.max_weight))
-                .collect();
-            let mut runs = run_edge_packing_many::<AutoRat>(&insts, threads).into_iter();
-            decoded
-                .iter()
-                .map(|dec| {
-                    let d = dec.as_ref().map_err(|e| e.clone())?;
-                    // `runs` holds exactly one entry per Ok-decoded instance, zipped back in order.
-                    let run = runs.next().expect("one run per good instance");
-                    let vc = run.map_err(|e| format!("execution failed: {e}"))?;
-                    let cert = widen_cert(
-                        certify_vertex_cover(&d.graph, &d.weights, &vc.packing, &vc.cover)
-                            .map_err(|e| format!("certification failed: {e}"))?,
-                    );
-                    let t = sync_trace(&vc.trace);
-                    shared.telemetry.record_solve_trace(t.rounds, t.bits);
-                    Ok((false, wire::encode_solved_body(&vc.cover, &cert, &t)))
+            let run = PN_SCRATCH
+                .with_borrow_mut(|s| {
+                    run_edge_packing_scratch(&d.graph, &d.weights, d.delta, d.max_weight, 1, s)
                 })
-                .collect()
+                .map_err(execution_failed)?;
+            (run.cover, run.packing, sync_trace(&run.trace))
         }
         ExecMode::Async(s, seed) => {
-            let run_one = |dec: &Result<canon::OwnedVcInstance, String>| {
-                let d = dec.as_ref().map_err(|e| e.clone())?;
-                let cfg = VcConfig::new(d.delta, d.max_weight);
-                let net = scenario_config(s, seed);
-                let res = run_async_pn::<EdgePackingNode<AutoRat>>(
-                    &d.graph,
-                    &cfg,
-                    &d.weights,
-                    cfg.total_rounds(),
-                    &net,
-                )
-                .map_err(|e| format!("async execution failed: {e}"))?;
-                let (cover, packing) = fold_vc_outputs(&d.graph, &res.outputs);
-                let cert = widen_cert(
-                    certify_vertex_cover(&d.graph, &d.weights, &packing, &cover)
-                        .map_err(|e| format!("certification failed: {e}"))?,
-                );
-                let t = async_trace(&res.trace);
-                shared.telemetry.record_solve_trace(t.rounds, t.bits);
-                Ok((false, wire::encode_solved_body(&cover, &cert, &t)))
-            };
-            // Each instance is an independent, per-seed-deterministic
-            // run, so fan the batch across the job's pool width like
-            // the sync arm (which goes through the batch runner)
-            // instead of monopolising the worker sequentially. The
-            // pool threads persist per service worker (thread-local
-            // `RoundPool` cached at the machine-derived width, so
-            // varying batch sizes don't respawn it), and repeated
-            // async requests stop paying per-request thread spawns.
-            let width = sim_pool::clamp_width(sim_pool::resolve_threads(threads));
-            if width <= 1 || decoded.len() <= 1 {
-                decoded.iter().map(run_one).collect()
-            } else {
-                sim_pool::with_local_pool(width, |p| {
-                    p.map(decoded.iter().collect(), |_, d| run_one(d))
-                })
-            }
+            let cfg = VcConfig::new(d.delta, d.max_weight);
+            let res = run_async_pn::<EdgePackingNode<AutoRat>>(
+                &d.graph,
+                &cfg,
+                &d.weights,
+                cfg.total_rounds(),
+                &scenario_config(s, seed),
+            )
+            .map_err(|e| format!("async execution failed: {e}"))?;
+            let (cover, packing) = fold_vc_outputs(&d.graph, &res.outputs);
+            (cover, packing, async_trace(&res.trace))
         }
-    }
-}
-
-fn run_vc_bcast(shared: &Shared, req: &SolveRequest, missing: &[usize]) -> Vec<InstanceOutcome> {
-    let threads = shared.cfg.threads_per_job;
-    let decoded = decode_vc_batch(req, missing);
-    let good: Vec<&canon::OwnedVcInstance> =
-        decoded.iter().filter_map(|d| d.as_ref().ok()).collect();
-    let insts: Vec<VcInstance<'_>> = good
-        .iter()
-        .map(|d| VcInstance::with_bounds(&d.graph, &d.weights, d.delta, d.max_weight))
-        .collect();
-    let mut runs = run_vc_broadcast_many::<AutoRat>(&insts, threads).into_iter();
-    decoded
-        .iter()
-        .map(|dec| {
-            let d = dec.as_ref().map_err(|e| e.clone())?;
-            // `runs` holds exactly one entry per Ok-decoded instance, zipped back in order.
-            let run = runs.next().expect("one run per good instance");
-            let vc = run.map_err(|e| format!("execution failed: {e}"))?;
-            // §5 outputs do not carry the full packing; the maximality
-            // witness is `all_saturated` (Theorem 2) and the cover +
-            // ratio bound are checked directly.
-            let cover_weight: u64 =
-                (0..d.graph.n()).filter(|&v| vc.cover[v]).map(|v| d.weights[v]).sum();
-            let covers = d.graph.edge_iter().all(|(_, u, v)| vc.cover[u] || vc.cover[v]);
-            let cert =
-                Certificate { cover_weight, dual_value: vc.dual_value.to_bigrat(), factor: 2 };
-            if !vc.all_saturated || !covers || !canon::certificate_bound_holds(&cert) {
-                return Err("certification failed: §5 invariants violated".into());
-            }
-            let t = sync_trace(&vc.trace);
-            shared.telemetry.record_solve_trace(t.rounds, t.bits);
-            Ok((false, wire::encode_solved_body(&vc.cover, &cert, &t)))
-        })
-        .collect()
-}
-
-fn run_set_cover(shared: &Shared, req: &SolveRequest, missing: &[usize]) -> Vec<InstanceOutcome> {
-    let threads = shared.cfg.threads_per_job;
-    let decoded: Vec<Result<canon::OwnedScInstance, String>> = missing
-        .iter()
-        .map(|&i| canon::decode_sc(&req.instances[i]).map_err(|e| e.to_string()))
-        .collect();
-    let good: Vec<&canon::OwnedScInstance> =
-        decoded.iter().filter_map(|d| d.as_ref().ok()).collect();
-    let insts: Vec<ScInstance<'_>> =
-        good.iter().map(|d| ScInstance::with_bounds(&d.inst, d.f, d.k, d.max_weight)).collect();
-    let mut runs = run_fractional_packing_many_with::<AutoRat>(&insts, threads).into_iter();
-    decoded
-        .iter()
-        .map(|dec| {
-            let d = dec.as_ref().map_err(|e| e.clone())?;
-            // `runs` holds exactly one entry per Ok-decoded instance, zipped back in order.
-            let run = runs.next().expect("one run per good instance");
-            let sc = run.map_err(|e| format!("execution failed: {e}"))?;
-            let cert = widen_cert(
-                certify_set_cover(&d.inst, &sc.packing, &sc.cover)
-                    .map_err(|e| format!("certification failed: {e}"))?,
-            );
-            let t = sync_trace(&sc.trace);
-            shared.telemetry.record_solve_trace(t.rounds, t.bits);
-            Ok((false, wire::encode_solved_body(&sc.cover, &cert, &t)))
-        })
-        .collect()
-}
-
-fn run_vc_ps3(shared: &Shared, req: &SolveRequest, missing: &[usize]) -> Vec<InstanceOutcome> {
-    let decoded = decode_vc_batch(req, missing);
-    // Short deterministic runs, sequential over the batch with the engine
-    // scratch reused — the repeated-short-run entry point.
-    let mut scratch: EngineScratch<PsNode, PortNumbering> = EngineScratch::new();
-    decoded
-        .iter()
-        .map(|dec| {
-            let d = dec.as_ref().map_err(|e| e.clone())?;
-            // Capability check at instance-decode time: PS3 is unweighted.
-            if let Some(w) = d.weights.iter().find(|&&w| w != 1) {
-                return Err(format!("solver vc_ps3 is unweighted: weight {w} ≠ 1 present"));
-            }
-            let run = run_ps3_scratch(&d.graph, d.delta, &mut scratch)
-                .map_err(|e| format!("execution failed: {e}"))?;
-            let packing = half_matching_packing::<BigRat>(&d.graph, &run.roles);
-            let cert =
-                certify_vertex_cover_rational(&d.graph, &d.weights, &packing, &run.cover, 4, 1)
-                    .map_err(|e| format!("certification failed: {e}"))?;
-            let t = sync_trace(&run.trace);
-            shared.telemetry.record_solve_trace(t.rounds, t.bits);
-            Ok((false, wire::encode_solved_body(&run.cover, &cert, &t)))
-        })
-        .collect()
-}
-
-/// Per-instance entry point for the (2+ε) family: cover, dual packing, trace.
-type EpsRunner = fn(&canon::OwnedVcInstance) -> Result<(Vec<bool>, EpsPacking, Trace), String>;
-type EpsPacking = anonet_core::packing::EdgePacking<AutoRat>;
-
-/// Shared driver for the two (2+ε) primal–dual solvers: per-instance
-/// engine runs fanned across the job's pool width, certified at 8/3.
-fn run_eps_family(
-    shared: &Shared,
-    req: &SolveRequest,
-    missing: &[usize],
-    runner: EpsRunner,
-) -> Vec<InstanceOutcome> {
-    let decoded = decode_vc_batch(req, missing);
-    let run_one = |dec: &Result<canon::OwnedVcInstance, String>| {
-        let d = dec.as_ref().map_err(|e| e.clone())?;
-        let (cover, packing, trace) = runner(d)?;
-        let cert = widen_cert(
-            certify_vertex_cover_rational(&d.graph, &d.weights, &packing, &cover, 8, 3)
-                .map_err(|e| format!("certification failed: {e}"))?,
-        );
-        let t = sync_trace(&trace);
-        shared.telemetry.record_solve_trace(t.rounds, t.bits);
-        Ok((false, wire::encode_solved_body(&cover, &cert, &t)))
     };
-    let width = sim_pool::clamp_width(sim_pool::resolve_threads(shared.cfg.threads_per_job));
-    if width <= 1 || decoded.len() <= 1 {
-        decoded.iter().map(run_one).collect()
-    } else {
-        sim_pool::with_local_pool(width, |p| p.map(decoded.iter().collect(), |_, d| run_one(d)))
+    let cert = certify_vertex_cover(&d.graph, &d.weights, &packing, &cover)
+        .map_err(certification_failed)?;
+    Ok((cover, widen_cert(cert), trace))
+}
+
+fn solve_vc_bcast(desc: &SolverDescriptor, blob: &[u8], _: ExecMode) -> Result<Solution, String> {
+    let d = decode_vc(desc, blob)?;
+    let run = VC_BCAST_SCRATCH
+        .with_borrow_mut(|s| {
+            run_vc_broadcast_scratch(&d.graph, &d.weights, d.delta, d.max_weight, 1, s)
+        })
+        .map_err(execution_failed)?;
+    // §5 outputs do not carry the full packing; the maximality witness is
+    // `all_saturated` (Theorem 2) and the cover + ratio bound are checked
+    // directly.
+    let cover_weight: u64 = (0..d.graph.n()).filter(|&v| run.cover[v]).map(|v| d.weights[v]).sum();
+    let covers = d.graph.edge_iter().all(|(_, u, v)| run.cover[u] || run.cover[v]);
+    let cert = Certificate {
+        cover_weight,
+        dual_value: run.dual_value.to_bigrat(),
+        factor: desc.factor_num,
+    };
+    if !run.all_saturated || !covers || !canon::certificate_bound_holds(&cert) {
+        return Err("certification failed: §5 invariants violated".into());
     }
+    Ok((run.cover, cert, sync_trace(&run.trace)))
 }
 
-fn run_vc_kvy(shared: &Shared, req: &SolveRequest, missing: &[usize]) -> Vec<InstanceOutcome> {
-    run_eps_family(shared, req, missing, |d| {
-        let run = run_kvy::<AutoRat>(&d.graph, &d.weights, EPS_NUM, EPS_DEN, PORTFOLIO_MAX_ROUNDS)
-            .map_err(|e| format!("execution failed: {e}"))?;
-        Ok((run.cover, run.packing, run.trace))
-    })
+fn solve_set_cover(_: &SolverDescriptor, blob: &[u8], _: ExecMode) -> Result<Solution, String> {
+    let d = canon::decode_sc(blob).map_err(|e| e.to_string())?;
+    let run = SC_SCRATCH
+        .with_borrow_mut(|s| run_fractional_packing_scratch(&d.inst, d.f, d.k, d.max_weight, 1, s))
+        .map_err(execution_failed)?;
+    let cert =
+        certify_set_cover(&d.inst, &run.packing, &run.cover).map_err(certification_failed)?;
+    Ok((run.cover, widen_cert(cert), sync_trace(&run.trace)))
 }
 
-fn run_vc_bchs(shared: &Shared, req: &SolveRequest, missing: &[usize]) -> Vec<InstanceOutcome> {
-    run_eps_family(shared, req, missing, |d| {
-        let run = run_bchs::<AutoRat>(&d.graph, &d.weights, EPS_NUM, EPS_DEN, PORTFOLIO_MAX_ROUNDS)
-            .map_err(|e| format!("execution failed: {e}"))?;
-        Ok((run.cover, run.packing, run.trace))
-    })
+fn solve_vc_ps3(desc: &SolverDescriptor, blob: &[u8], _: ExecMode) -> Result<Solution, String> {
+    let d = decode_vc(desc, blob)?;
+    let run = PS3_SCRATCH
+        .with_borrow_mut(|s| run_ps3_scratch(&d.graph, d.delta, s))
+        .map_err(execution_failed)?;
+    let packing = half_matching_packing::<AutoRat>(&d.graph, &run.roles);
+    certify_rational(desc, &d, run.cover, &packing, &run.trace)
 }
 
-/// The whole-request guard a worker applies before dispatching to
-/// [`SolverDescriptor::run`]: modes the solver does not support are answered
-/// with a structured `Unsupported` response.
-pub(crate) fn mode_supported(req: &SolveRequest) -> Result<(), Vec<u8>> {
-    let desc = req.solver.descriptor();
-    if matches!(req.mode, ExecMode::Async(..)) && !desc.supports_async {
-        return Err(wire::encode_solve_response(&SolveResponse::Unsupported(format!(
-            "async execution supports vc_pn only, not {}",
-            desc.name
-        ))));
-    }
-    Ok(())
+fn solve_vc_kvy(desc: &SolverDescriptor, blob: &[u8], _: ExecMode) -> Result<Solution, String> {
+    let d = decode_vc(desc, blob)?;
+    let run = run_kvy::<AutoRat>(&d.graph, &d.weights, EPS_NUM, EPS_DEN, PORTFOLIO_MAX_ROUNDS)
+        .map_err(execution_failed)?;
+    certify_rational(desc, &d, run.cover, &run.packing, &run.trace)
+}
+
+fn solve_vc_bchs(desc: &SolverDescriptor, blob: &[u8], _: ExecMode) -> Result<Solution, String> {
+    let d = decode_vc(desc, blob)?;
+    let run = run_bchs::<AutoRat>(&d.graph, &d.weights, EPS_NUM, EPS_DEN, PORTFOLIO_MAX_ROUNDS)
+        .map_err(execution_failed)?;
+    certify_rational(desc, &d, run.cover, &run.packing, &run.trace)
 }
 
 #[cfg(test)]

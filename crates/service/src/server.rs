@@ -1,20 +1,22 @@
 //! The solver service: a TCP accept loop, a bounded job queue with
-//! backpressure, a worker pool funnelling jobs through the batch runner,
-//! and the LRU result cache.
+//! backpressure, a worker pool driving each request through its solver, and
+//! the LRU result cache.
 //!
 //! ## Request lifecycle
 //!
-//! A connection thread reads one frame, parses it, and **tries** to enqueue
-//! the job. If the queue is at capacity the client immediately receives a
-//! `Busy` response with a retry-after hint — the server never blocks a
-//! client on a full queue. Otherwise the job waits for a worker, which
-//! probes the result cache per instance (key = solver + mode + canonical
-//! blob), dispatches the misses to the requested solver's registry entry
-//! point ([`crate::portfolio`] — the legacy solvers funnel through the
-//! `_many` entry points of `anonet-core` and `anonet_sim::batch::BatchRunner`),
-//! certifies every result, caches the encoded bodies, and replies. Responses
-//! are therefore **bit-identical to direct batch-runner runs** of the same
-//! instances — the loopback integration test asserts it.
+//! Either connection model hands each request frame to `dispatch`, the one
+//! transport-free copy of the message dispatch. It answers info requests and
+//! errors inline and returns a decoded solve request, which the connection
+//! **tries** to enqueue. If the queue is at capacity the client immediately
+//! receives a `Busy` response with a retry-after hint — the server never
+//! blocks a client on a full queue. Otherwise the job waits for a worker,
+//! which runs `execute`, the one solve loop: it probes the result cache
+//! per instance (key = solver + mode + canonical blob), fans each miss's
+//! decode → solve → certify pipeline ([`crate::portfolio`]'s per-instance
+//! `solve`) over the job's pool width, encodes and caches the bodies, and
+//! replies. Each instance runs on the single-threaded engine, so responses
+//! are **bit-identical to direct batch runs** of the same instances — the
+//! loopback integration test asserts it.
 //!
 //! ## Execution modes
 //!
@@ -25,15 +27,15 @@
 //! carries the `AsyncTrace` summary instead of the engine `Trace`.
 
 use crate::cache::LruCache;
-use crate::portfolio::{self, InstanceOutcome};
 use crate::telemetry::{outcome, RequestRecord, Telemetry};
 use crate::wire::{
-    self, SolveRequest, SolveResponse, StatsSnapshot, WireError, FLAG_NO_CACHE,
+    self, ExecMode, SolveRequest, SolveResponse, StatsSnapshot, WireError, FLAG_NO_CACHE,
     MSG_DEBUG_DUMP_REQUEST, MSG_METRICS_REQUEST, MSG_SOLVE_REQUEST, MSG_STATS_REQUEST,
 };
 use anonet_core::canon::ByteReader;
 use anonet_obs::clock::{unix_millis, Stopwatch};
 use anonet_obs::MetricValue;
+use anonet_sim::pool as sim_pool;
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -80,7 +82,7 @@ pub struct ServiceConfig {
     /// Result-cache byte budget over keys + bodies (keys embed whole
     /// canonical blobs, so entry counts alone do not bound memory).
     pub cache_bytes: usize,
-    /// Batch-runner pool width each worker uses for one request's instances
+    /// Pool width each worker fans one request's instances over
     /// (`0` = auto: the machine's available parallelism; capped there
     /// either way). The pool threads persist per worker across requests.
     pub threads_per_job: usize,
@@ -119,28 +121,23 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Phase measurements the worker hands back alongside the response payload,
-/// so the connection thread can commit one complete flight record.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct ExecPhases {
-    pub(crate) queue_us: u64,
-    pub(crate) solve_us: u64,
-    pub(crate) encode_us: u64,
-    pub(crate) cache_hits: u32,
-    pub(crate) cache_misses: u32,
-    pub(crate) outcome: &'static str,
-}
+/// Per-instance outcome on the server side: `(from_cache, body)` with `body`
+/// from `wire::encode_solved_body`, or an error message.
+type InstanceOutcome = Result<(bool, Vec<u8>), String>;
 
-/// Where a finished job's payload goes: back to the blocking connection
-/// thread (threads model) or into the reactor's completion queue with the
-/// flight record the worker finishes off (reactor model).
+/// Where a finished job's payload and flight record go: back to the
+/// blocking connection thread (threads model) or through the reactor's
+/// completion queue, the worker committing the record (reactor model).
 pub(crate) enum Reply {
-    Thread(mpsc::Sender<(Vec<u8>, ExecPhases)>),
+    Thread(mpsc::Sender<(Vec<u8>, RequestRecord)>),
     Reactor(crate::reactor::ReactorReply),
 }
 
+/// A queued solve request with the flight record its connection started;
+/// the worker fills in the worker-side phases.
 struct Job {
     req: SolveRequest,
+    rec: RequestRecord,
     reply: Reply,
     queued: Stopwatch,
 }
@@ -208,41 +205,28 @@ impl Shared {
         }
     }
 
-    /// Enqueues a request or — when the queue is full or the service is
-    /// stopping — hands back the encoded `Busy` payload *and* the reply
-    /// handle, so a reactor caller can recover the flight record it parked
-    /// inside the handle and commit the busy outcome itself.
-    // The fat Err is the point: handing the payload and handle back by value
-    // is what lets the reactor recover its flight record without a clone, and
-    // the rejection path is already off the hot path (clippy::result_large_err).
-    #[allow(clippy::result_large_err)]
-    pub(crate) fn submit_reply(
+    /// Enqueues a solve request with its flight record so far, or — when
+    /// the queue is full or the service is stopping — marks the record busy
+    /// and returns the encoded `Busy` payload for the caller to answer with.
+    pub(crate) fn submit(
         &self,
         req: SolveRequest,
+        rec: &mut RequestRecord,
         reply: Reply,
-    ) -> Result<(), (Vec<u8>, Reply)> {
+    ) -> Result<(), Vec<u8>> {
         let mut q = self.lock_queue();
         if self.stop.load(Ordering::Relaxed) || q.len() >= self.cfg.queue_cap {
             self.counters.rejected_busy.fetch_add(1, Ordering::Relaxed);
-            let busy = wire::encode_solve_response(&SolveResponse::Busy {
+            rec.outcome = outcome::BUSY;
+            return Err(wire::encode_solve_response(&SolveResponse::Busy {
                 retry_after_ms: self.cfg.retry_after_ms,
                 queue_len: q.len() as u32,
-            });
-            return Err((busy, reply));
+            }));
         }
-        q.push_back(Job { req, reply, queued: Stopwatch::start() });
+        q.push_back(Job { req, rec: *rec, reply, queued: Stopwatch::start() });
         drop(q);
         self.cv.notify_one();
         Ok(())
-    }
-
-    /// Enqueues a request or returns the encoded `Busy` payload.
-    fn submit(&self, req: SolveRequest) -> Result<mpsc::Receiver<(Vec<u8>, ExecPhases)>, Vec<u8>> {
-        let (tx, rx) = mpsc::channel();
-        match self.submit_reply(req, Reply::Thread(tx)) {
-            Ok(()) => Ok(rx),
-            Err((busy, _)) => Err(busy),
-        }
     }
 
     pub(crate) fn snapshot(&self) -> StatsSnapshot {
@@ -297,17 +281,88 @@ impl Shared {
     }
 }
 
-/// Executes one request end to end, returning the response payload and
-/// filling in the worker-side phase measurements.
-fn execute(shared: &Shared, req: &SolveRequest, phases: &mut ExecPhases) -> Vec<u8> {
+/// What a connection does with a request frame, as `dispatch` decides.
+pub(crate) enum Dispatch {
+    /// Answer with this payload now.
+    Reply(Vec<u8>),
+    /// Queue this solve request for a worker.
+    Solve(SolveRequest),
+}
+
+/// Decodes one request frame: the single, transport-free copy of the
+/// message dispatch both connection models call, so their replies are
+/// byte-identical by construction. Info requests and errors are answered
+/// inline; a decoded solve request is handed back for the caller to queue.
+/// Fills `rec`'s arrival time, size, message type, decode phase (lapped off
+/// `sw`) and outcome.
+pub(crate) fn dispatch(
+    shared: &Shared,
+    payload: &[u8],
+    rec: &mut RequestRecord,
+    sw: &mut Stopwatch,
+) -> Dispatch {
+    rec.t_unix_ms = unix_millis();
+    rec.bytes_in = payload.len() as u64;
+    rec.outcome = outcome::INFO;
+    let mut r = ByteReader::new(payload);
+    let msg_type = match wire::read_header(&mut r) {
+        Ok(t) => t,
+        Err(e) => return malformed(shared, rec, e.to_string()),
+    };
+    rec.msg_type = msg_type;
+    Dispatch::Reply(match msg_type {
+        MSG_SOLVE_REQUEST => {
+            let decoded = wire::decode_solve_request(&mut r);
+            rec.decode_us = sw.lap_us();
+            match decoded {
+                Ok(req) => {
+                    rec.problem = req.solver.name();
+                    rec.instances = req.instances.len() as u32;
+                    return Dispatch::Solve(req);
+                }
+                // A well-formed frame naming a solver this build does not
+                // register is a capability gap, not a protocol violation:
+                // structured `Unsupported`, no malformed strike.
+                Err(WireError::UnknownSolver(id)) => {
+                    rec.outcome = outcome::UNSUPPORTED;
+                    wire::encode_solve_response(&SolveResponse::Unsupported(format!(
+                        "unknown solver id {id}"
+                    )))
+                }
+                Err(e) => return malformed(shared, rec, e.to_string()),
+            }
+        }
+        MSG_STATS_REQUEST => wire::encode_stats_response(&shared.snapshot()),
+        MSG_METRICS_REQUEST => wire::encode_metrics_response(&shared.metrics_snapshot()),
+        MSG_DEBUG_DUMP_REQUEST => {
+            wire::encode_debug_dump_response(&shared.telemetry.dump_json("on-demand"))
+        }
+        t => return malformed(shared, rec, format!("unexpected message type {t}")),
+    })
+}
+
+fn malformed(shared: &Shared, rec: &mut RequestRecord, why: String) -> Dispatch {
+    rec.outcome = outcome::MALFORMED;
+    shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
+    Dispatch::Reply(wire::encode_solve_response(&SolveResponse::Malformed(why)))
+}
+
+/// The one solve loop: executes one solve request end to end, returning the
+/// response payload and filling in `rec`'s worker-side phases and outcome.
+fn execute(shared: &Shared, req: &SolveRequest, rec: &mut RequestRecord) -> Vec<u8> {
     if cfg!(debug_assertions) && req.flags & wire::FLAG_TEST_PANIC != 0 {
         // lint: allow(panic-path) — deliberate test instrumentation, debug builds only, and the worker_loop catch_unwind is exactly what it exercises
         panic!("FLAG_TEST_PANIC set: deliberate worker panic (test instrumentation)");
     }
+    let desc = req.solver.descriptor();
     // Modes a solver does not support (per its registry capability flags)
     // are answered with a structured `Unsupported` before any counting.
-    if let Err(unsupported) = portfolio::mode_supported(req) {
-        return unsupported;
+    if matches!(req.mode, ExecMode::Async(..)) && !desc.supports_async {
+        rec.outcome = outcome::UNSUPPORTED;
+        return wire::encode_solve_response(&SolveResponse::Unsupported(format!(
+            "async execution supports vc_pn only, not {}",
+            desc.name
+        )));
     }
 
     shared.telemetry.kind_counter(req.solver).inc();
@@ -328,36 +383,46 @@ fn execute(shared: &Shared, req: &SolveRequest, phases: &mut ExecPhases) -> Vec<
         }
     }
 
+    // Every missing instance's decode → solve → certify → encode pipeline is
+    // independent and per-seed deterministic, so fan them across the job's
+    // pool width. The pool threads persist per service worker (a
+    // thread-local `RoundPool` cached at the machine-derived width), so
+    // repeated requests pay no thread spawns.
     let missing: Vec<usize> = (0..k).filter(|&i| outcomes[i].is_none()).collect();
-    if !missing.is_empty() {
-        let computed = (req.solver.descriptor().run)(shared, req, &missing);
-        if use_cache {
-            let mut cache = shared.lock_cache();
-            for (&i, outcome) in missing.iter().zip(computed.iter()) {
-                if let Ok((_, body)) = outcome {
-                    cache.insert(keys[i].clone(), body.clone());
-                }
+    let width = sim_pool::clamp_width(sim_pool::resolve_threads(shared.cfg.threads_per_job));
+    let computed = sim_pool::with_local_pool(width, |p| {
+        p.map(missing.clone(), |_, i| {
+            let (cover, cert, trace) = (desc.solve)(desc, &req.instances[i], req.mode)?;
+            shared.telemetry.record_solve_trace(trace.rounds, trace.bits);
+            Ok((false, wire::encode_solved_body(&cover, &cert, &trace)))
+        })
+    });
+    if use_cache {
+        let mut cache = shared.lock_cache();
+        for (&i, outcome) in missing.iter().zip(&computed) {
+            if let Ok((_, body)) = outcome {
+                cache.insert(keys[i].clone(), body.clone());
             }
         }
-        for (&i, outcome) in missing.iter().zip(computed) {
-            outcomes[i] = Some(outcome);
-        }
+    }
+    for (i, outcome) in missing.into_iter().zip(computed) {
+        outcomes[i] = Some(outcome);
     }
 
     let results: Vec<InstanceOutcome> =
         // lint: allow(panic-path) — every slot is filled by construction: the cache pass writes hits, the execute pass writes the rest
         outcomes.into_iter().map(|o| o.expect("every instance resolved")).collect();
     let cache_hits = results.iter().filter(|r| matches!(r, Ok((true, _)))).count() as u32;
-    phases.cache_hits = cache_hits;
-    phases.cache_misses = k as u32 - cache_hits;
+    rec.cache_hits = cache_hits;
+    rec.cache_misses = k as u32 - cache_hits;
     let errors = results.iter().filter(|r| r.is_err()).count() as u64;
     if errors > 0 {
         shared.counters.exec_errors.fetch_add(errors, Ordering::Relaxed);
     }
     shared.counters.served_ok.fetch_add(1, Ordering::Relaxed);
-    phases.solve_us = sw.lap_us();
+    rec.solve_us = sw.lap_us();
     let payload = wire::encode_solve_response_raw(&results);
-    phases.encode_us = sw.lap_us();
+    rec.encode_us = sw.lap_us();
     payload
 }
 
@@ -384,17 +449,17 @@ fn worker_loop(shared: Arc<Shared>) {
                 };
             }
         };
-        let queue_us = job.queued.total_us();
+        let queued = RequestRecord { queue_us: job.queued.total_us(), ..job.rec };
         // A panicking job must not take the worker down with it (a handful
         // of hostile requests would otherwise silently drain the pool until
         // nothing drains the queue): unwind here, answer with per-instance
         // errors, and keep the thread. The unwind path also dumps the
         // flight recorder to stderr — the records preceding the panic are
         // exactly the evidence a post-mortem needs.
-        let (payload, phases) = match catch_unwind(AssertUnwindSafe(|| {
-            let mut ph = ExecPhases { queue_us, outcome: outcome::OK, ..ExecPhases::default() };
-            let payload = execute(&shared, &job.req, &mut ph);
-            (payload, ph)
+        let (payload, rec) = match catch_unwind(AssertUnwindSafe(|| {
+            let mut rec = RequestRecord { outcome: outcome::OK, ..queued };
+            let payload = execute(&shared, &job.req, &mut rec);
+            (payload, rec)
         })) {
             Ok(done) => done,
             Err(_) => {
@@ -404,18 +469,20 @@ fn worker_loop(shared: Arc<Shared>) {
                 shared.counters.served_ok.fetch_add(1, Ordering::Relaxed);
                 let errs: Vec<InstanceOutcome> =
                     (0..n).map(|_| Err("internal error: execution panicked".to_string())).collect();
-                let ph = ExecPhases { queue_us, outcome: outcome::PANIC, ..ExecPhases::default() };
-                (wire::encode_solve_response_raw(&errs), ph)
+                (
+                    wire::encode_solve_response_raw(&errs),
+                    RequestRecord { outcome: outcome::PANIC, ..queued },
+                )
             }
         };
         match job.reply {
             // The client may have gone away; that is its problem, not ours.
             Reply::Thread(tx) => {
-                let _ = tx.send((payload, phases));
+                let _ = tx.send((payload, rec));
             }
             // The reactor path owns the flight record: finish it here (the
             // reactor thread only moves bytes) and wake the event loop.
-            Reply::Reactor(r) => r.finish(payload, phases, &shared.telemetry),
+            Reply::Reactor(r) => r.finish(payload, rec, &shared.telemetry),
         }
     }
 }
@@ -450,83 +517,21 @@ fn handle_conn(mut stream: TcpStream, shared: &Shared) {
             Ok(Some(p)) => p,
             _ => return, // clean close or broken transport
         };
-        let mut rec = RequestRecord {
-            t_unix_ms: unix_millis(),
-            bytes_in: payload.len() as u64,
-            read_us: sw.lap_us(),
-            outcome: outcome::INFO,
-            ..RequestRecord::default()
-        };
-        let mut r = ByteReader::new(&payload);
-        let reply = match wire::read_header(&mut r) {
-            Ok(MSG_SOLVE_REQUEST) => {
-                rec.msg_type = MSG_SOLVE_REQUEST;
-                match wire::decode_solve_request(&mut r) {
-                    Ok(req) => {
-                        rec.decode_us = sw.lap_us();
-                        rec.problem = req.solver.name();
-                        rec.instances = req.instances.len() as u32;
-                        match shared.submit(req) {
-                            Ok(rx) => match rx.recv() {
-                                Ok((p, ph)) => {
-                                    rec.queue_us = ph.queue_us;
-                                    rec.solve_us = ph.solve_us;
-                                    rec.encode_us = ph.encode_us;
-                                    rec.cache_hits = ph.cache_hits;
-                                    rec.cache_misses = ph.cache_misses;
-                                    rec.outcome = ph.outcome;
-                                    p
-                                }
-                                Err(_) => return, // service shut down mid-flight
-                            },
-                            Err(busy) => {
-                                rec.outcome = outcome::BUSY;
-                                busy
-                            }
+        let mut rec = RequestRecord { read_us: sw.lap_us(), ..RequestRecord::default() };
+        let reply = match dispatch(shared, &payload, &mut rec, &mut sw) {
+            Dispatch::Reply(reply) => reply,
+            Dispatch::Solve(req) => {
+                let (tx, rx) = mpsc::channel();
+                match shared.submit(req, &mut rec, Reply::Thread(tx)) {
+                    Ok(()) => match rx.recv() {
+                        Ok((reply, done)) => {
+                            rec = done;
+                            reply
                         }
-                    }
-                    // A well-formed frame naming a solver this build does not
-                    // register is a capability gap, not a protocol violation:
-                    // structured `Unsupported`, no malformed strike.
-                    Err(WireError::UnknownSolver(id)) => {
-                        rec.decode_us = sw.lap_us();
-                        rec.outcome = outcome::UNSUPPORTED;
-                        wire::encode_solve_response(&SolveResponse::Unsupported(format!(
-                            "unknown solver id {id}"
-                        )))
-                    }
-                    Err(e) => {
-                        rec.decode_us = sw.lap_us();
-                        rec.outcome = outcome::MALFORMED;
-                        shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-                        wire::encode_solve_response(&SolveResponse::Malformed(e.to_string()))
-                    }
+                        Err(_) => return, // service shut down mid-flight
+                    },
+                    Err(busy) => busy,
                 }
-            }
-            Ok(MSG_STATS_REQUEST) => {
-                rec.msg_type = MSG_STATS_REQUEST;
-                wire::encode_stats_response(&shared.snapshot())
-            }
-            Ok(MSG_METRICS_REQUEST) => {
-                rec.msg_type = MSG_METRICS_REQUEST;
-                wire::encode_metrics_response(&shared.metrics_snapshot())
-            }
-            Ok(MSG_DEBUG_DUMP_REQUEST) => {
-                rec.msg_type = MSG_DEBUG_DUMP_REQUEST;
-                wire::encode_debug_dump_response(&shared.telemetry.dump_json("on-demand"))
-            }
-            Ok(t) => {
-                rec.msg_type = t;
-                rec.outcome = outcome::MALFORMED;
-                shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-                wire::encode_solve_response(&SolveResponse::Malformed(format!(
-                    "unexpected message type {t}"
-                )))
-            }
-            Err(e) => {
-                rec.outcome = outcome::MALFORMED;
-                shared.counters.malformed.fetch_add(1, Ordering::Relaxed);
-                wire::encode_solve_response(&SolveResponse::Malformed(e.to_string()))
             }
         };
         rec.bytes_out = reply.len() as u64;

@@ -58,7 +58,7 @@ pub mod outcome {
 }
 
 /// One request's record in the flight recorder.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct RequestRecord {
     /// Wall-clock arrival, milliseconds since the Unix epoch.
     pub t_unix_ms: u64,
