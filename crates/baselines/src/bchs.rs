@@ -24,8 +24,10 @@
 //! every edge in finitely many rounds.
 
 use anonet_bigmath::PackingValue;
-use anonet_core::packing::EdgePacking;
-use anonet_sim::{Graph, MessageSize, PnAlgorithm, PnEngine, SimError, Trace};
+use anonet_core::vc_pn::{fold_vc_outputs, VcOutput, VcRun};
+use anonet_sim::{
+    run_engine, EngineOptions, Graph, MessageSize, PnAlgorithm, PortNumbering, SimError,
+};
 
 /// Defensive ceiling on the bid level. For in-contract inputs
 /// `2^b ≤ 2·Δ·W·den/num`, so honest levels stay far below it.
@@ -113,7 +115,7 @@ impl<V: PackingValue> BchsNode<V> {
 impl<V: PackingValue> PnAlgorithm for BchsNode<V> {
     type Msg = BchsMsg;
     type Input = u64;
-    type Output = BchsOutput<V>;
+    type Output = VcOutput<V>;
     type Config = BchsConfig;
 
     fn init(cfg: &BchsConfig, degree: usize, input: &u64) -> Self {
@@ -151,7 +153,7 @@ impl<V: PackingValue> PnAlgorithm for BchsNode<V> {
         _cfg: &BchsConfig,
         round: u64,
         incoming: &[&BchsMsg],
-    ) -> Option<BchsOutput<V>> {
+    ) -> Option<VcOutput<V>> {
         let active = self.active_ports();
         let my_level = if self.frozen || active.is_empty() {
             None
@@ -189,65 +191,27 @@ impl<V: PackingValue> PnAlgorithm for BchsNode<V> {
             Some(r) => round > r,
             None => (0..self.y.len()).all(|p| self.nb_frozen[p]),
         };
-        done.then(|| BchsOutput { in_cover: self.frozen, y: self.y.clone() })
+        done.then(|| VcOutput { in_cover: self.frozen, y: self.y.clone() })
     }
 }
 
-/// Per-node output.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BchsOutput<V> {
-    /// Whether the node joined the cover (froze at (1−ε)-saturation).
-    pub in_cover: bool,
-    /// Final `y(e)` per port.
-    pub y: Vec<V>,
-}
-
-/// Result of a run.
-#[derive(Clone, Debug)]
-pub struct BchsRun<V> {
-    /// The feasible edge packing accumulated by the bulk raises.
-    pub packing: EdgePacking<V>,
-    /// The (2/(1−ε))-approximate cover (the frozen set).
-    pub cover: Vec<bool>,
-    /// Engine instrumentation (data-dependent round count).
-    pub trace: Trace,
-}
-
-/// Runs the BCHS-style bulk-raise primal–dual baseline.
+/// Runs the BCHS-style bulk-raise primal–dual baseline. The cover is the
+/// frozen set, the packing is folded by §3's [`fold_vc_outputs`], and the
+/// round count is data-dependent.
 pub fn run_bchs<V: PackingValue>(
     g: &Graph,
     weights: &[u64],
     eps_num: u64,
     eps_den: u64,
     max_rounds: u64,
-) -> Result<BchsRun<V>, SimError> {
+) -> Result<VcRun<V>, SimError> {
     assert!(eps_num >= 1 && eps_num < eps_den, "need 0 < ε < 1");
     let max_weight = weights.iter().copied().max().unwrap_or(1).max(1);
     let cfg = BchsConfig { eps_num, eps_den, max_weight };
-    let mut engine = PnEngine::<BchsNode<V>>::new(g, &cfg, weights, 1)?;
-    for _ in 0..max_rounds {
-        if engine.step() {
-            break;
-        }
-    }
-    let res = engine.finish().map_err(|e| SimError::RoundLimit {
-        limit: max_rounds,
-        halted: e.halted(),
-        n: g.n(),
-    })?;
-    let mut y = vec![V::zero(); g.m()];
-    for (v, out) in res.outputs.iter().enumerate() {
-        for (p, val) in out.y.iter().enumerate() {
-            let e = g.edge_of(g.arc(v, p));
-            if v < g.head(g.arc(v, p)) {
-                y[e] = val.clone();
-            } else {
-                assert_eq!(&y[e], val, "endpoint copies disagree");
-            }
-        }
-    }
-    let cover = res.outputs.iter().map(|o| o.in_cover).collect();
-    Ok(BchsRun { packing: EdgePacking { y }, cover, trace: res.trace })
+    let opts = EngineOptions::default();
+    let res = run_engine::<BchsNode<V>, PortNumbering>(g, &cfg, weights, max_rounds, opts)?;
+    let (cover, packing) = fold_vc_outputs(g, &res.outputs);
+    Ok(VcRun { packing, cover, trace: res.trace })
 }
 
 #[cfg(test)]

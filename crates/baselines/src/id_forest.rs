@@ -13,8 +13,10 @@
 
 use anonet_bigmath::{PackingValue, UBig};
 use anonet_core::encode::{cv_step, cv_step_root, CvSchedule};
-use anonet_core::packing::EdgePacking;
-use anonet_sim::{run_pn, Graph, MessageSize, PnAlgorithm, RunResult, SimError, Trace};
+use anonet_core::vc_pn::{fold_vc_outputs, VcOutput, VcRun};
+use anonet_sim::{
+    run_engine, EngineOptions, Graph, MessageSize, PnAlgorithm, PortNumbering, SimError,
+};
 
 /// Global configuration: Δ and the identifier space bound N (ids in 1..=N).
 #[derive(Clone, Debug)]
@@ -99,7 +101,7 @@ pub struct IdPackNode<V> {
 impl<V: PackingValue> PnAlgorithm for IdPackNode<V> {
     type Msg = IdPackMsg<V>;
     type Input = (u64, u64); // (weight, unique id)
-    type Output = crate::id_forest::IdPackOutput<V>;
+    type Output = VcOutput<V>;
     type Config = IdPackConfig;
 
     fn init(cfg: &IdPackConfig, degree: usize, input: &(u64, u64)) -> Self {
@@ -164,7 +166,7 @@ impl<V: PackingValue> PnAlgorithm for IdPackNode<V> {
         cfg: &IdPackConfig,
         round: u64,
         incoming: &[&IdPackMsg<V>],
-    ) -> Option<IdPackOutput<V>> {
+    ) -> Option<VcOutput<V>> {
         if round == cfg.orient_round() {
             // Orientation towards higher id; rank outgoing ports into forests.
             let mut rank = 0u16;
@@ -297,54 +299,26 @@ impl<V: PackingValue> PnAlgorithm for IdPackNode<V> {
         }
 
         (round == cfg.total_rounds())
-            .then(|| IdPackOutput { in_cover: self.r.is_zero(), y: self.y.clone() })
+            .then(|| VcOutput { in_cover: self.r.is_zero(), y: self.y.clone() })
     }
 }
 
-/// Per-node output.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct IdPackOutput<V> {
-    /// Cover membership (saturated).
-    pub in_cover: bool,
-    /// Final `y(e)` per port.
-    pub y: Vec<V>,
-}
-
-/// Result of an ID-based edge-packing run.
-#[derive(Clone, Debug)]
-pub struct IdPackRun<V> {
-    /// The maximal edge packing.
-    pub packing: EdgePacking<V>,
-    /// 2-approximate vertex cover.
-    pub cover: Vec<bool>,
-    /// Engine instrumentation.
-    pub trace: Trace,
-}
-
 /// Runs the ID-based edge packing; `ids[v]` must be unique in `1..=id_bound`.
+/// The cover is the saturated set and the packing is folded by §3's
+/// [`fold_vc_outputs`].
 pub fn run_id_edge_packing<V: PackingValue>(
     g: &Graph,
     weights: &[u64],
     ids: &[u64],
     id_bound: u64,
-) -> Result<IdPackRun<V>, SimError> {
+) -> Result<VcRun<V>, SimError> {
     let cfg = IdPackConfig::new(g.max_degree().max(1), id_bound);
     let inputs: Vec<(u64, u64)> = weights.iter().copied().zip(ids.iter().copied()).collect();
-    let res: RunResult<IdPackOutput<V>> =
-        run_pn::<IdPackNode<V>>(g, &cfg, &inputs, cfg.total_rounds())?;
-    let mut y = vec![V::zero(); g.m()];
-    for (v, out) in res.outputs.iter().enumerate() {
-        for (p, val) in out.y.iter().enumerate() {
-            let e = g.edge_of(g.arc(v, p));
-            if v < g.head(g.arc(v, p)) {
-                y[e] = val.clone();
-            } else {
-                assert_eq!(&y[e], val, "endpoint copies disagree (edge {e})");
-            }
-        }
-    }
-    let cover = res.outputs.iter().map(|o| o.in_cover).collect();
-    Ok(IdPackRun { packing: EdgePacking { y }, cover, trace: res.trace })
+    let opts = EngineOptions::default();
+    let res =
+        run_engine::<IdPackNode<V>, PortNumbering>(g, &cfg, &inputs, cfg.total_rounds(), opts)?;
+    let (cover, packing) = fold_vc_outputs(g, &res.outputs);
+    Ok(VcRun { packing, cover, trace: res.trace })
 }
 
 #[cfg(test)]

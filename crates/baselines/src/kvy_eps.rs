@@ -13,8 +13,10 @@
 //! its fixed O(Δ + log\*W) schedule.
 
 use anonet_bigmath::PackingValue;
-use anonet_core::packing::EdgePacking;
-use anonet_sim::{Graph, MessageSize, PnAlgorithm, PnEngine, SimError, Trace};
+use anonet_core::vc_pn::{fold_vc_outputs, VcOutput, VcRun};
+use anonet_sim::{
+    run_engine, EngineOptions, Graph, MessageSize, PnAlgorithm, PortNumbering, SimError,
+};
 
 /// Global configuration.
 #[derive(Clone, Debug)]
@@ -67,7 +69,7 @@ impl<V: PackingValue> KvyNode<V> {
 impl<V: PackingValue> PnAlgorithm for KvyNode<V> {
     type Msg = KvyMsg<V>;
     type Input = u64;
-    type Output = KvyOutput<V>;
+    type Output = VcOutput<V>;
     type Config = KvyConfig;
 
     fn init(cfg: &KvyConfig, degree: usize, input: &u64) -> Self {
@@ -103,7 +105,7 @@ impl<V: PackingValue> PnAlgorithm for KvyNode<V> {
         _cfg: &KvyConfig,
         round: u64,
         incoming: &[&KvyMsg<V>],
-    ) -> Option<KvyOutput<V>> {
+    ) -> Option<VcOutput<V>> {
         let active = self.active_ports();
         let my_offer = if self.frozen || active.is_empty() {
             None
@@ -140,62 +142,24 @@ impl<V: PackingValue> PnAlgorithm for KvyNode<V> {
             Some(r) => round > r,
             None => (0..self.y.len()).all(|p| self.nb_frozen[p]),
         };
-        done.then(|| KvyOutput { in_cover: self.frozen, y: self.y.clone() })
+        done.then(|| VcOutput { in_cover: self.frozen, y: self.y.clone() })
     }
 }
 
-/// Per-node output.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct KvyOutput<V> {
-    /// Whether the node joined the cover (froze at (1−ε)-saturation).
-    pub in_cover: bool,
-    /// Final `y(e)` per port.
-    pub y: Vec<V>,
-}
-
-/// Result of a run.
-#[derive(Clone, Debug)]
-pub struct KvyRun<V> {
-    /// The (feasible, (1−ε)-maximal) edge packing.
-    pub packing: EdgePacking<V>,
-    /// The (2/(1−ε))-approximate cover.
-    pub cover: Vec<bool>,
-    /// Engine instrumentation (data-dependent round count!).
-    pub trace: Trace,
-}
-
-/// Runs the (2+ε) primal–dual baseline.
+/// Runs the (2+ε) primal–dual baseline. The cover is the frozen set, the
+/// packing (feasible, (1−ε)-maximal) is folded by §3's [`fold_vc_outputs`],
+/// and the round count is data-dependent.
 pub fn run_kvy<V: PackingValue>(
     g: &Graph,
     weights: &[u64],
     eps_num: u64,
     eps_den: u64,
     max_rounds: u64,
-) -> Result<KvyRun<V>, SimError> {
+) -> Result<VcRun<V>, SimError> {
     assert!(eps_num >= 1 && eps_num < eps_den, "need 0 < ε < 1");
     let cfg = KvyConfig { eps_num, eps_den };
-    let mut engine = PnEngine::<KvyNode<V>>::new(g, &cfg, weights, 1)?;
-    for _ in 0..max_rounds {
-        if engine.step() {
-            break;
-        }
-    }
-    let res = engine.finish().map_err(|e| SimError::RoundLimit {
-        limit: max_rounds,
-        halted: e.halted(),
-        n: g.n(),
-    })?;
-    let mut y = vec![V::zero(); g.m()];
-    for (v, out) in res.outputs.iter().enumerate() {
-        for (p, val) in out.y.iter().enumerate() {
-            let e = g.edge_of(g.arc(v, p));
-            if v < g.head(g.arc(v, p)) {
-                y[e] = val.clone();
-            } else {
-                assert_eq!(&y[e], val, "endpoint copies disagree");
-            }
-        }
-    }
-    let cover = res.outputs.iter().map(|o| o.in_cover).collect();
-    Ok(KvyRun { packing: EdgePacking { y }, cover, trace: res.trace })
+    let opts = EngineOptions::default();
+    let res = run_engine::<KvyNode<V>, PortNumbering>(g, &cfg, weights, max_rounds, opts)?;
+    let (cover, packing) = fold_vc_outputs(g, &res.outputs);
+    Ok(VcRun { packing, cover, trace: res.trace })
 }

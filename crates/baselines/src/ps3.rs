@@ -11,8 +11,7 @@
 use anonet_bigmath::PackingValue;
 use anonet_core::packing::EdgePacking;
 use anonet_sim::{
-    run_engine_scratch, EngineOptions, EngineScratch, Graph, MessageSize, PnAlgorithm,
-    PortNumbering, SimError, Trace,
+    run_engine, EngineOptions, Graph, MessageSize, PnAlgorithm, PortNumbering, SimError, Trace,
 };
 
 /// Messages of the PS algorithm.
@@ -164,32 +163,13 @@ pub fn half_matching_packing<V: PackingValue>(g: &Graph, roles: &[PsOutput]) -> 
     EdgePacking { y }
 }
 
-/// Runs the Polishchuk–Suomela 3-approximation (unweighted).
-pub fn run_ps3(g: &Graph) -> Result<PsRun, SimError> {
-    run_ps3_with(g, g.max_degree())
-}
-
-/// Runs with an explicit global Δ.
-pub fn run_ps3_with(g: &Graph, delta: usize) -> Result<PsRun, SimError> {
-    run_ps3_scratch(g, delta, &mut EngineScratch::new())
-}
-
-/// [`run_ps3_with`] reusing engine allocations across calls — the
-/// repeated-short-run entry point (results bit-identical to [`run_ps3`]).
-pub fn run_ps3_scratch(
-    g: &Graph,
-    delta: usize,
-    scratch: &mut EngineScratch<PsNode, PortNumbering>,
-) -> Result<PsRun, SimError> {
+/// Runs the Polishchuk–Suomela 3-approximation (unweighted) with the global
+/// degree bound `delta` every node is told (the schedule is 2Δ rounds).
+pub fn run_ps3(g: &Graph, delta: usize) -> Result<PsRun, SimError> {
+    let opts = EngineOptions::default();
     let cfg = PsConfig { delta: delta.max(1) };
-    let res = run_engine_scratch::<PsNode, PortNumbering>(
-        g,
-        &cfg,
-        &vec![(); g.n()],
-        cfg.total_rounds(),
-        EngineOptions::default(),
-        scratch,
-    )?;
+    let res =
+        run_engine::<PsNode, PortNumbering>(g, &cfg, &vec![(); g.n()], cfg.total_rounds(), opts)?;
     let cover = res.outputs.iter().map(|o| o.in_cover).collect();
     Ok(PsRun { cover, roles: res.outputs, trace: res.trace })
 }
@@ -201,7 +181,7 @@ mod tests {
     use anonet_gen::family;
 
     fn check(g: &Graph) {
-        let run = run_ps3(g).unwrap();
+        let run = run_ps3(g, g.max_degree()).unwrap();
         assert!(is_vertex_cover(g, &run.cover), "must cover all edges");
         // 3-approximation vs exact optimum (unweighted).
         let opt = min_weight_vertex_cover(g, &vec![1; g.n()]).weight;
@@ -221,7 +201,7 @@ mod tests {
     #[test]
     fn single_edge_matches_both() {
         let g = Graph::from_edges(2, &[(0, 1)]).unwrap();
-        let run = run_ps3(&g).unwrap();
+        let run = run_ps3(&g, g.max_degree()).unwrap();
         // white(0) proposes to black(1) and vice versa: both matched.
         assert_eq!(run.cover, vec![true, true]);
     }
@@ -248,8 +228,8 @@ mod tests {
 
     #[test]
     fn rounds_independent_of_n() {
-        let a = run_ps3_with(&family::cycle(10), 2).unwrap().trace.rounds;
-        let b = run_ps3_with(&family::cycle(1000), 2).unwrap().trace.rounds;
+        let a = run_ps3(&family::cycle(10), 2).unwrap().trace.rounds;
+        let b = run_ps3(&family::cycle(1000), 2).unwrap().trace.rounds;
         assert_eq!(a, b);
     }
 }

@@ -4,7 +4,8 @@
 
 use anonet_bench::{halting_inputs, HaltingGossip};
 use anonet_gen::family;
-use anonet_sim::{BatchRunner, EngineOptions, Graph, Job, PnAlgorithm, PnEngine, PortNumbering};
+use anonet_sim::pool::fan_out;
+use anonet_sim::{run_engine, EngineOptions, Graph, PnAlgorithm, PnEngine, PortNumbering};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 /// A light per-node workload: gossip the running maximum of neighbour ids.
@@ -81,19 +82,20 @@ fn bench_frontier(c: &mut Criterion) {
     group.finish();
 }
 
-/// Many small independent instances through one pool: the batch runner's
+/// Many small independent instances through one pool (`fan_out`): the
 /// across-instance parallelism vs running them back to back.
 fn bench_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_batch");
     group.sample_size(10);
     let graphs: Vec<Graph> = (0..32).map(|i| family::random_regular(256, 4, 100 + i)).collect();
     let inputs = halting_inputs(256, |v| v % 12 + 1);
-    let jobs: Vec<Job<'_, HaltingGossip, PortNumbering>> =
-        graphs.iter().map(|g| Job::new(g, &(), &inputs, 64)).collect();
+    let opts = EngineOptions::default();
     for threads in [1usize, 4, 8] {
         group.bench_with_input(BenchmarkId::new("x32_n256", threads), &threads, |bch, &t| {
             bch.iter(|| {
-                let res = BatchRunner::new(t).run(&jobs);
+                let res = fan_out(t, graphs.iter().collect(), |_, g: &Graph| {
+                    run_engine::<HaltingGossip, PortNumbering>(g, &(), &inputs, 64, opts)
+                });
                 black_box(res.len())
             })
         });

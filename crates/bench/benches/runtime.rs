@@ -5,13 +5,14 @@
 
 use anonet_bench::{halting_inputs, HaltingGossip};
 use anonet_gen::family;
-use anonet_runtime::{run_async_pn, DelayModel, NetworkConfig};
-use anonet_sim::{run_pn, Graph};
+use anonet_runtime::{run_async_engine, DelayModel, NetworkConfig};
+use anonet_sim::{run_engine, EngineOptions, Graph, PortNumbering};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 /// Ideal network event-loop throughput vs the synchronous engine on the
 /// same workload and graph: the direct measure of synchronizer overhead.
 fn bench_ideal_vs_sync(c: &mut Criterion) {
+    let opts = EngineOptions::default();
     let mut group = c.benchmark_group("runtime_ideal");
     group.sample_size(10);
     for n in [1_000usize, 4_000] {
@@ -19,15 +20,28 @@ fn bench_ideal_vs_sync(c: &mut Criterion) {
         let inputs = halting_inputs(n, |_| 10);
         group.bench_with_input(BenchmarkId::new("sync_engine", n), &g, |b, g| {
             b.iter(|| {
-                let res = run_pn::<HaltingGossip>(black_box(g), &(), &inputs, 12).unwrap();
+                let res = run_engine::<HaltingGossip, PortNumbering>(
+                    black_box(g),
+                    &(),
+                    &inputs,
+                    12,
+                    opts,
+                )
+                .unwrap();
                 res.trace.rounds
             })
         });
         group.bench_with_input(BenchmarkId::new("async_ideal", n), &g, |b, g| {
             let net = NetworkConfig::ideal();
             b.iter(|| {
-                let res =
-                    run_async_pn::<HaltingGossip>(black_box(g), &(), &inputs, 12, &net).unwrap();
+                let res = run_async_engine::<HaltingGossip, PortNumbering>(
+                    black_box(g),
+                    &(),
+                    &inputs,
+                    12,
+                    &net,
+                )
+                .unwrap();
                 res.trace.events
             })
         });
@@ -59,7 +73,9 @@ fn bench_adverse(c: &mut Criterion) {
     for (name, net) in configs {
         group.bench_function(BenchmarkId::new("n1000_d8", name), |b| {
             b.iter(|| {
-                let res = run_async_pn::<HaltingGossip>(&g, &(), &inputs, 12, &net).unwrap();
+                let res =
+                    run_async_engine::<HaltingGossip, PortNumbering>(&g, &(), &inputs, 12, &net)
+                        .unwrap();
                 black_box(res.trace.events)
             })
         });

@@ -8,15 +8,17 @@
 
 use anonet_bench::md_table;
 use anonet_bigmath::BigRat;
-use anonet_core::vc_bcast::run_vc_broadcast_many;
+use anonet_core::vc_bcast::run_vc_broadcast;
 use anonet_core::vc_pn::{run_edge_packing_many, VcInstance};
 use anonet_gen::{family, WeightSpec};
+use anonet_sim::pool::fan_out;
+use anonet_sim::EngineOptions;
 
 fn main() {
     let w_bound = 16u64;
     let deltas = [2usize, 3, 4, 5];
-    // Build every instance up front, then run both models through the
-    // batched runners (one pool per model sweep).
+    // Build every instance up front, then fan both models out over one
+    // pool per model sweep.
     let cases: Vec<_> = deltas
         .iter()
         .map(|&delta| {
@@ -29,7 +31,8 @@ fn main() {
     let instances: Vec<VcInstance<'_>> =
         cases.iter().map(|(g, w, d)| VcInstance::with_bounds(g, w, *d, w_bound)).collect();
     let pn_runs = run_edge_packing_many::<BigRat>(&instances, 4);
-    let bc_runs = run_vc_broadcast_many::<BigRat>(&instances, 4);
+    let bc_runs =
+        fan_out(4, instances, |_, inst| run_vc_broadcast::<BigRat>(inst, EngineOptions::default()));
 
     let mut rows = Vec::new();
     for (((g, w, delta), pn), bc) in cases.iter().zip(pn_runs).zip(bc_runs) {

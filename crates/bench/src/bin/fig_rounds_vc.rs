@@ -2,8 +2,8 @@
 //! algorithm is O(Δ + log\*W) — linear in Δ, essentially flat in W (log\* of
 //! any physical W is ≤ 5), and independent of n.
 //!
-//! Each sweep builds all of its instances up front and funnels them through
-//! the batched runner ([`run_edge_packing_many`]), so the whole experiment
+//! Each sweep builds all of its instances up front and fans them out with
+//! [`run_edge_packing_many`], so the whole experiment
 //! uses one worker pool instead of one engine at a time.
 //!
 //! Regenerate with: `cargo run --release -p anonet-bench --bin fig_rounds_vc`

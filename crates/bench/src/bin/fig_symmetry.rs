@@ -10,10 +10,11 @@
 use anonet_bench::{cover_size, md_table};
 use anonet_bigmath::BigRat;
 use anonet_core::vc_bcast::run_vc_broadcast;
-use anonet_core::vc_pn::run_edge_packing;
+use anonet_core::vc_pn::{run_edge_packing, VcInstance};
 use anonet_exact::iso::automorphism_count;
 use anonet_gen::family;
 use anonet_sim::cover::lift;
+use anonet_sim::EngineOptions;
 
 fn main() {
     symmetric_outputs();
@@ -33,8 +34,10 @@ fn symmetric_outputs() {
         let w = vec![1u64; n];
         let aut = automorphism_count(&g);
 
-        let bc = run_vc_broadcast::<BigRat>(&g, &w).unwrap();
-        let pn = run_edge_packing::<BigRat>(&g, &w).unwrap();
+        let bc =
+            run_vc_broadcast::<BigRat>(VcInstance::new(&g, &w), EngineOptions::default()).unwrap();
+        let pn =
+            run_edge_packing::<BigRat>(VcInstance::new(&g, &w), EngineOptions::default()).unwrap();
         // Broadcast: uniform y = w/Δ-regular ⇒ dual = m/deg for regular graphs.
         let distinct_pn: std::collections::BTreeSet<String> =
             pn.packing.y.iter().map(|y| y.to_string()).collect();
@@ -68,10 +71,13 @@ fn lift_invariance() {
         ("K4 ×4", family::complete(4), 4),
     ] {
         let w = vec![2u64; g.n()];
-        let base = run_edge_packing::<BigRat>(&g, &w).unwrap();
+        let base =
+            run_edge_packing::<BigRat>(VcInstance::new(&g, &w), EngineOptions::default()).unwrap();
         let l = lift(&g, k, 99);
         let wl: Vec<u64> = (0..l.graph.n()).map(|vp| w[l.projection[vp]]).collect();
-        let lifted = run_edge_packing::<BigRat>(&l.graph, &wl).unwrap();
+        let lifted =
+            run_edge_packing::<BigRat>(VcInstance::new(&l.graph, &wl), EngineOptions::default())
+                .unwrap();
         let fibrewise_equal =
             (0..l.graph.n()).all(|vp| lifted.cover[vp] == base.cover[l.projection[vp]]);
         rows.push(vec![

@@ -20,12 +20,13 @@
 
 use anonet_bench::{halting_inputs, HaltingBcastGossip, HaltingGossip};
 use anonet_gen::{family, WeightSpec};
-use anonet_runtime::{run_async_pn, DelayModel, NetworkConfig};
+use anonet_runtime::{run_async_engine, DelayModel, NetworkConfig};
 use anonet_service::loadgen::{drive, synthesize, DriveConfig, FamilyKind, LoopMode, WorkloadSpec};
 use anonet_service::{Client, ConnModel, Server, ServiceConfig, SolverId};
+use anonet_sim::pool::fan_out;
 use anonet_sim::{
-    run_engine_observed, run_pn, BatchRunner, BcastEngine, EngineOptions, EngineScratch, Graph,
-    Job, NoopObserver, PnEngine, PortNumbering, RoundObserver, RoundStats,
+    run_engine, BcastEngine, EngineOptions, Graph, NoopObserver, PnEngine, PortNumbering,
+    RoundObserver, RoundStats,
 };
 use std::time::{Duration, Instant};
 
@@ -206,11 +207,12 @@ fn main() {
     // Batched multi-instance throughput: 32 × 256-node instances, one pool.
     let graphs: Vec<Graph> = (0..32).map(|i| family::random_regular(256, 4, 100 + i)).collect();
     let batch_inputs = halting_inputs(256, |v| v % 12 + 1);
-    let jobs: Vec<Job<'_, HaltingGossip, PortNumbering>> =
-        graphs.iter().map(|g| Job::new(g, &(), &batch_inputs, 64)).collect();
+    let opts = EngineOptions::default();
     for threads in [1usize, 4] {
         let mut s = time_reps(5, || {
-            let runs = BatchRunner::new(threads).run(&jobs);
+            let runs = fan_out(threads, graphs.iter().collect(), |_, g: &Graph| {
+                run_engine::<HaltingGossip, PortNumbering>(g, &(), &batch_inputs, 64, opts)
+            });
             runs.iter().map(|r| r.as_ref().unwrap().trace.rounds).sum()
         });
         s.name = if threads == 1 { "pn_batch_x32_n256_t1" } else { "pn_batch_x32_n256_t4" };
@@ -249,16 +251,15 @@ fn main() {
         }
         let mut sums = Sums { rounds: 0, bits: 0, slots: 0 };
         let opts = EngineOptions { threads: 1, frontier_skipping: false };
-        let res = run_engine_observed::<HaltingGossip, PortNumbering>(
-            &g1k,
-            &(),
-            &rt_inputs,
-            12,
-            opts,
-            &mut EngineScratch::new(),
-            &mut sums,
-        )
-        .expect("observed run");
+        let mut engine = PnEngine::<HaltingGossip>::with_options(&g1k, &(), &rt_inputs, opts)
+            .expect("inputs match");
+        engine.set_observer(&mut sums);
+        for _ in 0..12 {
+            if engine.step() {
+                break;
+            }
+        }
+        let res = engine.finish().ok().expect("observed run");
         assert_eq!(sums.rounds, res.trace.rounds, "observer must see every round");
         assert_eq!(sums.bits, res.trace.total_bits, "observed bits must match Trace accounting");
         assert_eq!(
@@ -268,10 +269,14 @@ fn main() {
     }
     let sync_wall = {
         let mut best = f64::MAX;
-        run_pn::<HaltingGossip>(&g1k, &(), &rt_inputs, 12).expect("sync run");
+        let sync = || {
+            run_engine::<HaltingGossip, PortNumbering>(&g1k, &(), &rt_inputs, 12, opts)
+                .expect("sync run")
+        };
+        sync();
         for _ in 0..5 {
             let t = Instant::now();
-            run_pn::<HaltingGossip>(&g1k, &(), &rt_inputs, 12).expect("sync run");
+            sync();
             best = best.min(t.elapsed().as_nanos() as f64);
         }
         best
@@ -289,11 +294,13 @@ fn main() {
     ] {
         let mut events = 0;
         let mut best = f64::MAX;
-        run_async_pn::<HaltingGossip>(&g1k, &(), &rt_inputs, 12, &net).expect("async run");
+        run_async_engine::<HaltingGossip, PortNumbering>(&g1k, &(), &rt_inputs, 12, &net)
+            .expect("async run");
         for _ in 0..5 {
             let t = Instant::now();
             let res =
-                run_async_pn::<HaltingGossip>(&g1k, &(), &rt_inputs, 12, &net).expect("async run");
+                run_async_engine::<HaltingGossip, PortNumbering>(&g1k, &(), &rt_inputs, 12, &net)
+                    .expect("async run");
             best = best.min(t.elapsed().as_nanos() as f64);
             events = res.trace.events;
         }

@@ -6,12 +6,13 @@
 //!
 //! Regenerate with: `cargo run --release -p anonet-bench --bin table1`
 
-use anonet_baselines::{run_id_edge_packing, run_kvy, run_ps3_with, run_rand_matching};
+use anonet_baselines::{run_id_edge_packing, run_kvy, run_ps3, run_rand_matching};
 use anonet_bench::{cover_size, cover_weight, f3, md_table, mean};
 use anonet_bigmath::BigRat;
-use anonet_core::vc_pn::run_edge_packing_with;
+use anonet_core::vc_pn::{run_edge_packing, VcInstance};
 use anonet_exact::min_weight_vertex_cover;
 use anonet_gen::{family, WeightSpec};
+use anonet_sim::EngineOptions;
 
 fn main() {
     rounds_vs_n();
@@ -22,6 +23,7 @@ fn main() {
 /// Rounds as n grows (4-regular random graphs, unweighted): the paper's
 /// algorithm and PS3 are flat; id-based and randomized ones drift.
 fn rounds_vs_n() {
+    let opts = EngineOptions::default();
     let ns = [64usize, 256, 1024, 4096];
     let d = 4;
     let mut rows: Vec<Vec<String>> = Vec::new();
@@ -29,7 +31,8 @@ fn rounds_vs_n() {
     let mut row = vec!["this work §3 (PN, det., 2-approx)".to_string()];
     for &n in &ns {
         let g = family::random_regular(n, d, 42);
-        let r = run_edge_packing_with::<BigRat>(&g, &vec![1; n], d, 1, 1).unwrap();
+        let r = run_edge_packing::<BigRat>(VcInstance::with_bounds(&g, &vec![1; n], d, 1), opts)
+            .unwrap();
         row.push(r.trace.rounds.to_string());
     }
     rows.push(row);
@@ -37,7 +40,7 @@ fn rounds_vs_n() {
     let mut row = vec!["PS 3-approx [30] (PN, det., 3-approx)".to_string()];
     for &n in &ns {
         let g = family::random_regular(n, d, 42);
-        let r = run_ps3_with(&g, d).unwrap();
+        let r = run_ps3(&g, d).unwrap();
         row.push(r.trace.rounds.to_string());
     }
     rows.push(row);
@@ -77,6 +80,7 @@ fn rounds_vs_n() {
 
 /// Weighted quality vs the exact optimum on small instances.
 fn quality_weighted() {
+    let opts = EngineOptions::default();
     let seeds: Vec<u64> = (0..10).collect();
     let mut rows: Vec<Vec<String>> = Vec::new();
 
@@ -89,7 +93,11 @@ fn quality_weighted() {
         let w = WeightSpec::Uniform(100).draw_many(20, seed + 1000);
         let opt = min_weight_vertex_cover(&g, &w).weight.max(1);
 
-        let r = run_edge_packing_with::<BigRat>(&g, &w, g.max_degree().max(1), 100, 1).unwrap();
+        let r = run_edge_packing::<BigRat>(
+            VcInstance::with_bounds(&g, &w, g.max_degree().max(1), 100),
+            opts,
+        )
+        .unwrap();
         this_work.push(cover_weight(&r.cover, &w) as f64 / opt as f64);
 
         let ids: Vec<u64> = (1..=20).collect();
@@ -135,11 +143,12 @@ fn quality_weighted() {
 
 /// The qualitative feature matrix of Table 1, with measured evidence.
 fn feature_matrix() {
+    let opts = EngineOptions::default();
     // Anonymity evidence: run §3 on a graph and a port-permuted twin — both
     // produce valid covers without ids; id-forest *requires* the id input.
     let g = family::petersen();
     let w = WeightSpec::Uniform(9).draw_many(10, 4);
-    let a = run_edge_packing_with::<BigRat>(&g, &w, 3, 9, 1).unwrap();
+    let a = run_edge_packing::<BigRat>(VcInstance::with_bounds(&g, &w, 3, 9), opts).unwrap();
     assert!(a.packing.is_maximal(&g, &w));
 
     let rows = vec![
@@ -159,6 +168,10 @@ fn feature_matrix() {
 
     println!(
         "\nCover sizes on Petersen (unweighted reference): §3 = {}, exact = 6",
-        cover_size(&run_edge_packing_with::<BigRat>(&g, &[1; 10], 3, 1, 1).unwrap().cover)
+        cover_size(
+            &run_edge_packing::<BigRat>(VcInstance::with_bounds(&g, &[1; 10], 3, 1), opts)
+                .unwrap()
+                .cover
+        )
     );
 }

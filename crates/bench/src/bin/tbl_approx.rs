@@ -7,11 +7,12 @@
 use anonet_bench::{cover_weight, f3, fmax, md_table, mean};
 use anonet_bigmath::BigRat;
 use anonet_core::certify::{certify_set_cover, certify_vertex_cover};
-use anonet_core::sc_bcast::run_fractional_packing;
+use anonet_core::sc_bcast::{run_fractional_packing, ScInstance};
 use anonet_core::trivial::run_trivial;
-use anonet_core::vc_pn::run_edge_packing;
+use anonet_core::vc_pn::{run_edge_packing, VcInstance};
 use anonet_exact::{greedy_set_cover, min_weight_set_cover, min_weight_vertex_cover};
 use anonet_gen::{family, setcover, WeightSpec};
+use anonet_sim::EngineOptions;
 
 fn main() {
     vc_table();
@@ -46,7 +47,8 @@ fn vc_table() {
         for seed in 0..8u64 {
             let g = gen(seed);
             let w = spec.draw_many(g.n(), seed + 500);
-            let run = run_edge_packing::<BigRat>(&g, &w).unwrap();
+            let run = run_edge_packing::<BigRat>(VcInstance::new(&g, &w), EngineOptions::default())
+                .unwrap();
             let cert = certify_vertex_cover(&g, &w, &run.packing, &run.cover).unwrap();
             cert_ratios.push(cert.certified_ratio());
             let opt = min_weight_vertex_cover(&g, &w).weight;
@@ -82,7 +84,9 @@ fn sc_table() {
         let mut trivial_ratios = Vec::new();
         for seed in 0..6u64 {
             let inst = setcover::random_bounded(14, 10, f, k, wspec, seed);
-            let run = run_fractional_packing::<BigRat>(&inst).unwrap();
+            let run =
+                run_fractional_packing::<BigRat>(ScInstance::new(&inst), EngineOptions::default())
+                    .unwrap();
             let cert = certify_set_cover(&inst, &run.packing, &run.cover).unwrap();
             cert_ratios.push(cert.certified_ratio());
             let opt = min_weight_set_cover(&inst).weight.max(1);

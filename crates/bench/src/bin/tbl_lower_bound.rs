@@ -14,13 +14,14 @@
 
 use anonet_bench::{cover_size, f3, md_table};
 use anonet_bigmath::BigRat;
-use anonet_core::sc_bcast::run_fractional_packing;
+use anonet_core::sc_bcast::{run_fractional_packing, ScInstance};
 use anonet_core::trivial::run_trivial;
 use anonet_exact::min_weight_set_cover;
 use anonet_gen::reduction::{
     cycle_cover_instance, extract_independent_set, is_cycle_independent_set, optimum_size,
 };
 use anonet_gen::setcover::symmetric_kpp;
+use anonet_sim::EngineOptions;
 
 fn main() {
     fig3();
@@ -31,7 +32,9 @@ fn fig3() {
     let mut rows = Vec::new();
     for p in 2usize..=6 {
         let inst = symmetric_kpp(p, 1);
-        let run = run_fractional_packing::<BigRat>(&inst).unwrap();
+        let run =
+            run_fractional_packing::<BigRat>(ScInstance::new(&inst), EngineOptions::default())
+                .unwrap();
         let triv = run_trivial(&inst).unwrap();
         let opt = min_weight_set_cover(&inst).weight;
         assert_eq!(opt, 1);
@@ -63,7 +66,9 @@ fn fig4() {
         // The anonymous §4 algorithm: the instance is vertex-transitive, so it
         // must take every subset — ratio exactly p, nothing to extract. This
         // *is* the lower bound in action.
-        let anon = run_fractional_packing::<BigRat>(&inst).unwrap();
+        let anon =
+            run_fractional_packing::<BigRat>(ScInstance::new(&inst), EngineOptions::default())
+                .unwrap();
         assert!(inst.is_cover(&anon.cover));
 
         // A hypothetical better-than-p algorithm, stood in for by the

@@ -6,9 +6,10 @@
 
 use anonet_bench::md_table;
 use anonet_bigmath::BigRat;
-use anonet_core::vc_pn::{run_edge_packing, EdgePackingNode, VcConfig, VcOutput};
+use anonet_core::vc_pn::{run_edge_packing, EdgePackingNode, VcConfig, VcInstance, VcOutput};
 use anonet_gen::{family, Rng, WeightSpec};
 use anonet_selfstab::{strike, SelfStabConfig, SelfStabHarness};
+use anonet_sim::EngineOptions;
 
 type Node = EdgePackingNode<BigRat>;
 
@@ -22,7 +23,8 @@ fn main() {
     ] {
         let w = WeightSpec::Uniform(9).draw_many(g.n(), 77);
         let reference: Vec<VcOutput<BigRat>> = {
-            let run = run_edge_packing::<BigRat>(&g, &w).unwrap();
+            let run = run_edge_packing::<BigRat>(VcInstance::new(&g, &w), EngineOptions::default())
+                .unwrap();
             (0..g.n())
                 .map(|v| VcOutput {
                     in_cover: run.cover[v],

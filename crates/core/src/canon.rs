@@ -457,6 +457,30 @@ pub fn certificate_bound_holds(cert: &Certificate<BigRat>) -> bool {
     lhs <= rhs
 }
 
+/// Checks a reply's cover against the instance blob the client itself sent,
+/// trusting nothing the server computed: the blob decodes (vertex or set
+/// cover, by its tag), the cover has one entry per node (per subset), it
+/// covers every edge (element), and `cover_weight` is that cover's weight
+/// recomputed from the blob. Together with [`certificate_bound_holds`] this
+/// is the client-side reply check; the dual's feasibility would need the
+/// packing, which stays server-side.
+pub fn cover_holds(blob: &[u8], cover: &[bool], cover_weight: u64) -> bool {
+    match blob.first() {
+        Some(&TAG_VC) => decode_vc(blob).is_ok_and(|d| {
+            cover.len() == d.graph.n()
+                && d.graph.edge_iter().all(|(_, u, v)| cover[u] || cover[v])
+                && d.weights.iter().zip(cover).filter(|(_, &c)| c).map(|(w, _)| w).sum::<u64>()
+                    == cover_weight
+        }),
+        Some(&TAG_SC) => decode_sc(blob).is_ok_and(|d| {
+            cover.len() == d.inst.n_subsets
+                && d.inst.is_cover(cover)
+                && d.inst.cover_weight(cover) == cover_weight
+        }),
+        _ => false,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -635,6 +659,36 @@ mod tests {
         };
         let dec = decode_certificate(&encode_certificate(&huge)).unwrap();
         assert_eq!(dec.dual_value, huge.dual_value);
+    }
+
+    #[test]
+    fn cover_check_rejects_flipped_bits_and_inflated_weights() {
+        let g = family::petersen();
+        let w = WeightSpec::Uniform(9).draw_many(10, 3);
+        let vc = encode_vc(&g, &w, 3, 9);
+        let all = vec![true; 10];
+        let total: u64 = w.iter().sum();
+        assert!(cover_holds(&vc, &all, total));
+        assert!(!cover_holds(&vc, &all, total + 1), "inflated weight");
+        assert!(!cover_holds(&vc, &all[..9], total - w[9]), "short cover");
+        // Dropping both endpoints of one edge uncovers it.
+        let mut holed = all.clone();
+        let (_, u, v) = g.edge_iter().next().unwrap();
+        holed[u] = false;
+        holed[v] = false;
+        assert!(!cover_holds(&vc, &holed, total - w[u] - w[v]), "uncovered edge");
+
+        let inst = setcover::random_bounded(12, 8, 2, 3, WeightSpec::Uniform(20), 1);
+        let sc = encode_sc(&inst, inst.f(), inst.k(), inst.max_weight());
+        let subsets = vec![true; inst.n_subsets];
+        let sw = inst.cover_weight(&subsets);
+        assert!(cover_holds(&sc, &subsets, sw));
+        assert!(!cover_holds(&sc, &subsets, sw + 1), "inflated weight");
+        assert!(!cover_holds(&sc, &vec![false; inst.n_subsets], 0), "empty cover");
+        // A vertex-cover reply checked against a set-cover blob fails on
+        // its length, and garbage never decodes.
+        assert!(!cover_holds(&sc, &all, total));
+        assert!(!cover_holds(b"junk", &all, total));
     }
 
     #[test]

@@ -26,9 +26,10 @@
 use crate::encode::{cv_step, cv_step_root, CvSchedule, SeqEncoder};
 use crate::packing::FractionalPacking;
 use anonet_bigmath::{PackingValue, UBig};
+use anonet_sim::pool::fan_out;
 use anonet_sim::{
-    run_bcast_many, run_engine_scratch, BcastAlgorithm, BcastJob, Broadcast, EngineOptions,
-    EngineScratch, MessageSize, RunResult, SetCoverInstance, SimError, Trace,
+    run_engine, BcastAlgorithm, Broadcast, EngineOptions, MessageSize, SetCoverInstance, SimError,
+    Trace,
 };
 
 /// Global configuration: the paper's f, k, W and derived quantities.
@@ -559,66 +560,8 @@ pub struct ScRun<V> {
     pub trace: Trace,
 }
 
-/// Runs the §4 algorithm with explicit global bounds (f, k, W).
-pub fn run_fractional_packing_with<V: PackingValue>(
-    inst: &SetCoverInstance,
-    f: usize,
-    k: usize,
-    max_weight: u64,
-    threads: usize,
-) -> Result<ScRun<V>, SimError> {
-    run_fractional_packing_scratch(inst, f, k, max_weight, threads, &mut EngineScratch::new())
-}
-
-/// [`run_fractional_packing_with`] reusing engine allocations across calls —
-/// the repeated-short-run entry point (results bit-identical).
-pub fn run_fractional_packing_scratch<V: PackingValue>(
-    inst: &SetCoverInstance,
-    f: usize,
-    k: usize,
-    max_weight: u64,
-    threads: usize,
-    scratch: &mut EngineScratch<ScNode<V>, Broadcast>,
-) -> Result<ScRun<V>, SimError> {
-    let cfg = ScConfig::new(f, k, max_weight);
-    let inputs: Vec<Option<u64>> =
-        (0..inst.graph.n()).map(|v| inst.is_subset(v).then(|| inst.weights[v])).collect();
-    let res: RunResult<ScOutput<V>> = run_engine_scratch::<ScNode<V>, Broadcast>(
-        &inst.graph,
-        &cfg,
-        &inputs,
-        cfg.total_rounds(),
-        EngineOptions::threads(threads),
-        scratch,
-    )?;
-    Ok(assemble_sc_run(inst, res))
-}
-
-/// Runs the §4 algorithm deriving (f, k, W) from the instance.
-pub fn run_fractional_packing<V: PackingValue>(
-    inst: &SetCoverInstance,
-) -> Result<ScRun<V>, SimError> {
-    run_fractional_packing_with(inst, inst.f().max(1), inst.k().max(1), inst.max_weight().max(1), 1)
-}
-
-/// Folds per-node outputs into the packing and the cover.
-fn assemble_sc_run<V: PackingValue>(
-    inst: &SetCoverInstance,
-    res: RunResult<ScOutput<V>>,
-) -> ScRun<V> {
-    let mut y = vec![V::zero(); inst.n_elements()];
-    let mut cover = vec![false; inst.n_subsets];
-    for (v, out) in res.outputs.iter().enumerate() {
-        match out {
-            ScOutput::Subset { in_cover } => cover[v] = *in_cover,
-            ScOutput::Element { y: yu, .. } => y[v - inst.n_subsets] = yu.clone(),
-        }
-    }
-    ScRun { packing: FractionalPacking { y }, cover, trace: res.trace }
-}
-
-/// One §4 instance of a batched run with explicit global bounds (f, k, W) —
-/// the bounds every anonymous node is told, which fix the round schedule.
+/// One §4 instance with explicit global bounds (f, k, W) — the bounds every
+/// anonymous node is told, which fix the round schedule.
 #[derive(Clone, Copy, Debug)]
 pub struct ScInstance<'a> {
     /// The bipartite set-cover instance.
@@ -648,41 +591,37 @@ impl<'a> ScInstance<'a> {
     }
 }
 
-/// Runs the §4 algorithm on many independent instances with explicit
-/// per-instance bounds across one pool of `threads` workers. `results[i]`
-/// corresponds to `instances[i]`.
+/// Runs the §4 algorithm on one instance under `opts` (worker threads,
+/// frontier skipping) — the one run entry of §4.
+pub fn run_fractional_packing<V: PackingValue>(
+    inst: ScInstance<'_>,
+    opts: EngineOptions,
+) -> Result<ScRun<V>, SimError> {
+    let ScInstance { inst, f, k, max_weight } = inst;
+    let cfg = ScConfig::new(f, k, max_weight);
+    let inputs: Vec<Option<u64>> =
+        (0..inst.graph.n()).map(|v| inst.is_subset(v).then(|| inst.weights[v])).collect();
+    let res =
+        run_engine::<ScNode<V>, Broadcast>(&inst.graph, &cfg, &inputs, cfg.total_rounds(), opts)?;
+    let mut y = vec![V::zero(); inst.n_elements()];
+    let mut cover = vec![false; inst.n_subsets];
+    for (v, out) in res.outputs.iter().enumerate() {
+        match out {
+            ScOutput::Subset { in_cover } => cover[v] = *in_cover,
+            ScOutput::Element { y: yu, .. } => y[v - inst.n_subsets] = yu.clone(),
+        }
+    }
+    Ok(ScRun { packing: FractionalPacking { y }, cover, trace: res.trace })
+}
+
+/// Runs the §4 algorithm on many independent instances, fanned out over
+/// `threads` workers ([`fan_out`]), each instance on one single-threaded
+/// engine. `results[i]` corresponds to `instances[i]`.
 pub fn run_fractional_packing_many_with<V: PackingValue>(
     instances: &[ScInstance<'_>],
     threads: usize,
 ) -> Vec<Result<ScRun<V>, SimError>> {
-    let cfgs: Vec<ScConfig> =
-        instances.iter().map(|i| ScConfig::new(i.f, i.k, i.max_weight)).collect();
-    let input_sets: Vec<Vec<Option<u64>>> = instances
-        .iter()
-        .map(|i| {
-            (0..i.inst.graph.n()).map(|v| i.inst.is_subset(v).then(|| i.inst.weights[v])).collect()
-        })
-        .collect();
-    let jobs: Vec<BcastJob<'_, ScNode<V>>> = instances
-        .iter()
-        .zip(&cfgs)
-        .zip(&input_sets)
-        .map(|((i, cfg), inputs)| BcastJob::new(&i.inst.graph, cfg, inputs, cfg.total_rounds()))
-        .collect();
-    run_bcast_many(&jobs, threads)
-        .into_iter()
-        .zip(instances)
-        .map(|(res, i)| res.map(|r| assemble_sc_run(i.inst, r)))
-        .collect()
-}
-
-/// Runs the §4 algorithm on many independent instances (bounds derived per
-/// instance) across one pool of `threads` workers. `results[i]` corresponds
-/// to `instances[i]`.
-pub fn run_fractional_packing_many<V: PackingValue>(
-    instances: &[SetCoverInstance],
-    threads: usize,
-) -> Vec<Result<ScRun<V>, SimError>> {
-    let refs: Vec<ScInstance<'_>> = instances.iter().map(ScInstance::new).collect();
-    run_fractional_packing_many_with(&refs, threads)
+    fan_out(threads, instances.to_vec(), |_, inst| {
+        run_fractional_packing(inst, EngineOptions::default())
+    })
 }

@@ -8,7 +8,10 @@
 //! port-numbering (and even strictly local unique-identifier) algorithms.
 
 use anonet_bigmath::PackingValue;
-use anonet_sim::{run_pn, MessageSize, PnAlgorithm, SetCoverInstance, SimError, Trace};
+use anonet_sim::{
+    run_engine, EngineOptions, MessageSize, PnAlgorithm, PortNumbering, SetCoverInstance, SimError,
+    Trace,
+};
 
 /// Messages: subset weights downstream, element choices upstream.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -138,7 +141,9 @@ pub struct TrivialRun {
 pub fn run_trivial(inst: &SetCoverInstance) -> Result<TrivialRun, SimError> {
     let inputs: Vec<Option<u64>> =
         (0..inst.graph.n()).map(|v| inst.is_subset(v).then(|| inst.weights[v])).collect();
-    let res = run_pn::<TrivialNode>(&inst.graph, &TrivialConfig, &inputs, 2)?;
+    let opts = EngineOptions::default();
+    let res =
+        run_engine::<TrivialNode, PortNumbering>(&inst.graph, &TrivialConfig, &inputs, 2, opts)?;
     let cover = (0..inst.n_subsets)
         .map(|s| matches!(res.outputs[s], TrivialOutput::Subset { in_cover: true }))
         .collect();

@@ -30,8 +30,7 @@ use crate::sc_bcast::{ScConfig, ScMsg, ScNode, ScOutput};
 use crate::vc_pn::VcInstance;
 use anonet_bigmath::PackingValue;
 use anonet_sim::{
-    run_bcast_many, run_engine_scratch, BcastAlgorithm, BcastJob, Broadcast, EngineOptions,
-    EngineScratch, Graph, MessageSize, RunResult, SimError, Trace,
+    run_engine, BcastAlgorithm, Broadcast, EngineOptions, Graph, MessageSize, SimError, Trace,
 };
 use std::collections::HashMap;
 
@@ -213,41 +212,20 @@ pub struct VcBcastRun<V> {
     pub trace: Trace,
 }
 
-/// Runs the §5 broadcast-model vertex cover with explicit bounds (Δ, W).
-pub fn run_vc_broadcast_with<V: PackingValue>(
-    g: &Graph,
-    weights: &[u64],
-    delta: usize,
-    max_weight: u64,
-    threads: usize,
+/// Runs the §5 broadcast-model vertex cover on one instance under `opts`
+/// (worker threads, frontier skipping) — the one run entry of §5.
+pub fn run_vc_broadcast<V: PackingValue>(
+    inst: VcInstance<'_>,
+    opts: EngineOptions,
 ) -> Result<VcBcastRun<V>, SimError> {
-    run_vc_broadcast_scratch(g, weights, delta, max_weight, threads, &mut EngineScratch::new())
-}
-
-/// [`run_vc_broadcast_with`] reusing engine allocations across calls — the
-/// repeated-short-run entry point (results bit-identical).
-pub fn run_vc_broadcast_scratch<V: PackingValue>(
-    g: &Graph,
-    weights: &[u64],
-    delta: usize,
-    max_weight: u64,
-    threads: usize,
-    scratch: &mut EngineScratch<VcBcastNode<V>, Broadcast>,
-) -> Result<VcBcastRun<V>, SimError> {
-    let cfg = VcBcastConfig::new(delta, max_weight);
-    let res: RunResult<VcBcastOutput<V>> = run_engine_scratch::<VcBcastNode<V>, Broadcast>(
-        g,
+    let cfg = VcBcastConfig::new(inst.delta, inst.max_weight);
+    let res = run_engine::<VcBcastNode<V>, Broadcast>(
+        inst.graph,
         &cfg,
-        weights,
+        inst.weights,
         cfg.total_rounds(),
-        EngineOptions::threads(threads),
-        scratch,
+        opts,
     )?;
-    Ok(assemble_vc_bcast_run(res))
-}
-
-/// Folds per-node outputs into the cover and the dual value.
-fn assemble_vc_bcast_run<V: PackingValue>(res: RunResult<VcBcastOutput<V>>) -> VcBcastRun<V> {
     let cover = res.outputs.iter().map(|o| o.in_cover).collect();
     let mut double_dual = V::zero();
     let mut all_saturated = true;
@@ -258,35 +236,7 @@ fn assemble_vc_bcast_run<V: PackingValue>(res: RunResult<VcBcastOutput<V>>) -> V
         }
     }
     let dual_value = double_dual.div(&V::from_u64(2));
-    VcBcastRun { cover, dual_value, all_saturated, trace: res.trace }
-}
-
-/// Runs the §5 broadcast-model vertex cover on many independent instances
-/// across one pool of `threads` workers. `results[i]` corresponds to
-/// `instances[i]` (bounds per [`VcInstance`]).
-pub fn run_vc_broadcast_many<V: PackingValue>(
-    instances: &[VcInstance<'_>],
-    threads: usize,
-) -> Vec<Result<VcBcastRun<V>, SimError>> {
-    let cfgs: Vec<VcBcastConfig> =
-        instances.iter().map(|i| VcBcastConfig::new(i.delta, i.max_weight)).collect();
-    let jobs: Vec<BcastJob<'_, VcBcastNode<V>>> = instances
-        .iter()
-        .zip(&cfgs)
-        .map(|(i, cfg)| BcastJob::new(i.graph, cfg, i.weights, cfg.total_rounds()))
-        .collect();
-    run_bcast_many(&jobs, threads).into_iter().map(|res| res.map(assemble_vc_bcast_run)).collect()
-}
-
-/// Runs the §5 broadcast-model vertex cover deriving Δ and W from the
-/// instance.
-pub fn run_vc_broadcast<V: PackingValue>(
-    g: &Graph,
-    weights: &[u64],
-) -> Result<VcBcastRun<V>, SimError> {
-    let delta = g.max_degree();
-    let w = weights.iter().copied().max().unwrap_or(1).max(1);
-    run_vc_broadcast_with(g, weights, delta, w, 1)
+    Ok(VcBcastRun { cover, dual_value, all_saturated, trace: res.trace })
 }
 
 /// Builds the §5 incidence instance explicitly (for the equivalence tests and

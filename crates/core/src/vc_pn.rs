@@ -24,9 +24,9 @@
 use crate::encode::{cv_step, cv_step_root, CvSchedule, SeqEncoder};
 use crate::packing::EdgePacking;
 use anonet_bigmath::{PackingValue, UBig};
+use anonet_sim::pool::fan_out;
 use anonet_sim::{
-    run_engine_scratch, run_pn_many, EngineOptions, EngineScratch, Graph, MessageSize, PnAlgorithm,
-    PnJob, PortNumbering, RunResult, SimError, Trace,
+    run_engine, EngineOptions, Graph, MessageSize, PnAlgorithm, PortNumbering, SimError, Trace,
 };
 use std::cmp::Ordering;
 
@@ -224,10 +224,11 @@ impl<V: PackingValue> EdgePackingNode<V> {
     }
 }
 
-/// Final per-node output.
+/// Final per-node output — also the output of the edge-packing baselines
+/// (KVY, BCHS, the id-forest packing), so one fold serves them all.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct VcOutput<V> {
-    /// Cover membership: `true` iff the node is saturated.
+    /// Cover membership (for §3: `true` iff the node is saturated).
     pub in_cover: bool,
     /// Final `y(e)` per port.
     pub y: Vec<V>,
@@ -548,79 +549,8 @@ pub struct VcRun<V> {
     pub trace: Trace,
 }
 
-/// Runs the §3 algorithm with explicit global bounds (Δ, W).
-///
-/// # Panics
-/// Panics if some degree exceeds Δ or some weight lies outside 1..=W, or if
-/// the two endpoint copies of an edge value disagree (cannot happen — checked
-/// as an internal consistency assertion).
-pub fn run_edge_packing_with<V: PackingValue>(
-    g: &Graph,
-    weights: &[u64],
-    delta: usize,
-    max_weight: u64,
-    threads: usize,
-) -> Result<VcRun<V>, SimError> {
-    run_edge_packing_scratch(g, weights, delta, max_weight, threads, &mut EngineScratch::new())
-}
-
-/// [`run_edge_packing_with`] reusing engine allocations across calls — the
-/// repeated-short-run entry point (results bit-identical).
-pub fn run_edge_packing_scratch<V: PackingValue>(
-    g: &Graph,
-    weights: &[u64],
-    delta: usize,
-    max_weight: u64,
-    threads: usize,
-    scratch: &mut EngineScratch<EdgePackingNode<V>, PortNumbering>,
-) -> Result<VcRun<V>, SimError> {
-    let cfg = VcConfig::new(delta, max_weight);
-    let res: RunResult<VcOutput<V>> = run_engine_scratch::<EdgePackingNode<V>, PortNumbering>(
-        g,
-        &cfg,
-        weights,
-        cfg.total_rounds(),
-        EngineOptions::threads(threads),
-        scratch,
-    )?;
-    Ok(assemble_vc_run(g, res))
-}
-
-/// Folds per-node §3 outputs into the cover and the per-edge packing,
-/// asserting that the two endpoint copies of every edge value agree. This is
-/// the one place raw `VcOutput`s become a `(cover, packing)` pair — the
-/// synchronous entry points and the asynchronous-runtime consumers (which
-/// hold raw outputs) both funnel through it.
-///
-/// # Panics
-/// Panics if the endpoint copies of some `y(e)` disagree (cannot happen in a
-/// fault-free §3 run — an internal consistency assertion).
-pub fn fold_vc_outputs<V: PackingValue>(
-    g: &Graph,
-    outputs: &[VcOutput<V>],
-) -> (Vec<bool>, EdgePacking<V>) {
-    let mut y = vec![V::zero(); g.m()];
-    for (v, out) in outputs.iter().enumerate() {
-        for (p, val) in out.y.iter().enumerate() {
-            let e = g.edge_of(g.arc(v, p));
-            if v < g.head(g.arc(v, p)) {
-                y[e] = val.clone();
-            } else {
-                assert_eq!(&y[e], val, "endpoint copies of y(e) disagree (edge {e})");
-            }
-        }
-    }
-    (outputs.iter().map(|o| o.in_cover).collect(), EdgePacking { y })
-}
-
-/// Folds per-node outputs into the per-edge packing and the cover.
-fn assemble_vc_run<V: PackingValue>(g: &Graph, res: RunResult<VcOutput<V>>) -> VcRun<V> {
-    let (cover, packing) = fold_vc_outputs(g, &res.outputs);
-    VcRun { packing, cover, trace: res.trace }
-}
-
-/// One §3 instance of a batched run: a graph, its node weights, and the
-/// global bounds (Δ, W) the anonymous nodes are told.
+/// One §3 instance: a graph, its node weights, and the global bounds
+/// (Δ, W) the anonymous nodes are told.
 #[derive(Clone, Copy, Debug)]
 pub struct VcInstance<'a> {
     /// Communication graph.
@@ -652,31 +582,63 @@ impl<'a> VcInstance<'a> {
     }
 }
 
-/// Runs the §3 algorithm on many independent instances across one pool of
-/// `threads` workers — the batched entry point the experiment binaries and
-/// service layers funnel through. `results[i]` corresponds to
-/// `instances[i]`.
+/// Runs the §3 algorithm on one instance under `opts` (worker threads,
+/// frontier skipping) — the one run entry of §3.
+///
+/// # Panics
+/// Panics if some degree exceeds Δ or some weight lies outside 1..=W, or if
+/// the two endpoint copies of an edge value disagree (cannot happen — checked
+/// as an internal consistency assertion).
+pub fn run_edge_packing<V: PackingValue>(
+    inst: VcInstance<'_>,
+    opts: EngineOptions,
+) -> Result<VcRun<V>, SimError> {
+    let cfg = VcConfig::new(inst.delta, inst.max_weight);
+    let res = run_engine::<EdgePackingNode<V>, PortNumbering>(
+        inst.graph,
+        &cfg,
+        inst.weights,
+        cfg.total_rounds(),
+        opts,
+    )?;
+    let (cover, packing) = fold_vc_outputs(inst.graph, &res.outputs);
+    Ok(VcRun { packing, cover, trace: res.trace })
+}
+
+/// Runs the §3 algorithm on many independent instances, fanned out over
+/// `threads` workers ([`fan_out`]), each instance on one single-threaded
+/// engine. `results[i]` corresponds to `instances[i]`.
 pub fn run_edge_packing_many<V: PackingValue>(
     instances: &[VcInstance<'_>],
     threads: usize,
 ) -> Vec<Result<VcRun<V>, SimError>> {
-    let cfgs: Vec<VcConfig> =
-        instances.iter().map(|i| VcConfig::new(i.delta, i.max_weight)).collect();
-    let jobs: Vec<PnJob<'_, EdgePackingNode<V>>> = instances
-        .iter()
-        .zip(&cfgs)
-        .map(|(i, cfg)| PnJob::new(i.graph, cfg, i.weights, cfg.total_rounds()))
-        .collect();
-    run_pn_many(&jobs, threads)
-        .into_iter()
-        .zip(instances)
-        .map(|(res, i)| res.map(|r| assemble_vc_run(i.graph, r)))
-        .collect()
+    fan_out(threads, instances.to_vec(), |_, inst| run_edge_packing(inst, EngineOptions::default()))
 }
 
-/// Runs the §3 algorithm deriving Δ and W from the instance.
-pub fn run_edge_packing<V: PackingValue>(g: &Graph, weights: &[u64]) -> Result<VcRun<V>, SimError> {
-    let delta = g.max_degree();
-    let w = weights.iter().copied().max().unwrap_or(1).max(1);
-    run_edge_packing_with(g, weights, delta, w, 1)
+/// Folds per-node §3 outputs into the cover and the per-edge packing,
+/// asserting that the two endpoint copies of every edge value agree. This is
+/// the one place raw `VcOutput`s become a `(cover, packing)` pair — §3's run
+/// entry, the asynchronous-runtime consumers (which hold raw outputs), and
+/// the edge-packing baselines (KVY, BCHS, the id-forest packing), which
+/// emit the same per-node output, all funnel through it.
+///
+/// # Panics
+/// Panics if the endpoint copies of some `y(e)` disagree (cannot happen in a
+/// fault-free run — an internal consistency assertion).
+pub fn fold_vc_outputs<V: PackingValue>(
+    g: &Graph,
+    outputs: &[VcOutput<V>],
+) -> (Vec<bool>, EdgePacking<V>) {
+    let mut y = vec![V::zero(); g.m()];
+    for (v, out) in outputs.iter().enumerate() {
+        for (p, val) in out.y.iter().enumerate() {
+            let e = g.edge_of(g.arc(v, p));
+            if v < g.head(g.arc(v, p)) {
+                y[e] = val.clone();
+            } else {
+                assert_eq!(&y[e], val, "endpoint copies of y(e) disagree (edge {e})");
+            }
+        }
+    }
+    (outputs.iter().map(|o| o.in_cover).collect(), EdgePacking { y })
 }

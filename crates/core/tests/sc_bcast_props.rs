@@ -6,18 +6,33 @@
 use anonet_bigmath::{BigRat, PackingValue, Rat128};
 use anonet_core::certify::certify_set_cover;
 use anonet_core::sc_bcast::{
-    run_fractional_packing, run_fractional_packing_many, run_fractional_packing_with, ScConfig,
+    run_fractional_packing, run_fractional_packing_many_with, ScConfig, ScInstance, ScRun,
 };
 use anonet_core::trivial::{run_trivial, trivial_bound};
-use anonet_core::vc_bcast::{incidence_instance, run_vc_broadcast, VcBcastConfig};
-use anonet_core::vc_pn::run_edge_packing;
+use anonet_core::vc_bcast::{incidence_instance, run_vc_broadcast, VcBcastConfig, VcBcastRun};
+use anonet_core::vc_pn::{run_edge_packing, VcInstance, VcRun};
 use anonet_gen::{family, reduction, setcover, WeightSpec};
-use anonet_sim::SetCoverInstance;
+use anonet_sim::{EngineOptions, Graph, SetCoverInstance, SimError};
 use proptest::prelude::*;
+
+/// One §3 run: bounds derived from the instance, default engine options.
+fn sec3<V: PackingValue>(g: &Graph, weights: &[u64]) -> Result<VcRun<V>, SimError> {
+    run_edge_packing(VcInstance::new(g, weights), EngineOptions::default())
+}
+
+/// One §5 run: bounds derived from the instance, default engine options.
+fn sec5<V: PackingValue>(g: &Graph, weights: &[u64]) -> Result<VcBcastRun<V>, SimError> {
+    run_vc_broadcast(VcInstance::new(g, weights), EngineOptions::default())
+}
+
+/// One §4 run: bounds derived from the instance, default engine options.
+fn sec4<V: PackingValue>(inst: &SetCoverInstance) -> Result<ScRun<V>, SimError> {
+    run_fractional_packing(ScInstance::new(inst), EngineOptions::default())
+}
 
 /// All §4 guarantees in one checker.
 fn check_sc<V: PackingValue>(inst: &SetCoverInstance) {
-    let run = run_fractional_packing::<V>(inst).expect("run completes");
+    let run = sec4::<V>(inst).expect("run completes");
     assert!(run.packing.is_feasible(inst), "packing must be feasible");
     assert!(run.packing.is_maximal(inst), "packing must be maximal (Theorem 2)");
     assert_eq!(run.cover, run.packing.saturated_subsets(inst));
@@ -36,10 +51,11 @@ fn batched_runner_matches_individual_sc_runs() {
         .map(|seed| setcover::random_bounded(12, 8, 2, 3, WeightSpec::Uniform(20), seed))
         .collect();
     for threads in [1usize, 3] {
-        let batch = run_fractional_packing_many::<BigRat>(&instances, threads);
+        let refs: Vec<ScInstance<'_>> = instances.iter().map(ScInstance::new).collect();
+        let batch = run_fractional_packing_many_with::<BigRat>(&refs, threads);
         for (inst, run) in instances.iter().zip(batch) {
             let run = run.unwrap();
-            let solo = run_fractional_packing::<BigRat>(inst).unwrap();
+            let solo = sec4::<BigRat>(inst).unwrap();
             assert_eq!(run.cover, solo.cover, "threads={threads}");
             assert_eq!(run.packing.y, solo.packing.y, "threads={threads}");
             assert_eq!(run.trace, solo.trace, "threads={threads}");
@@ -51,7 +67,7 @@ fn batched_runner_matches_individual_sc_runs() {
 fn tiny_single_subset() {
     // One subset covering one element: must saturate.
     let inst = SetCoverInstance::new(1, &[vec![0]], vec![7]).unwrap();
-    let run = run_fractional_packing::<BigRat>(&inst).unwrap();
+    let run = sec4::<BigRat>(&inst).unwrap();
     assert_eq!(run.cover, vec![true]);
     assert_eq!(run.packing.y[0], BigRat::from_u64(7));
     check_sc::<BigRat>(&inst);
@@ -61,7 +77,7 @@ fn tiny_single_subset() {
 fn two_subsets_shared_element() {
     // e0 ∈ s0, s1 with w = (3, 5): y(e0) grows to 3 saturating s0.
     let inst = SetCoverInstance::new(1, &[vec![0], vec![0]], vec![3, 5]).unwrap();
-    let run = run_fractional_packing::<BigRat>(&inst).unwrap();
+    let run = sec4::<BigRat>(&inst).unwrap();
     assert_eq!(run.packing.y[0], BigRat::from_u64(3));
     assert_eq!(run.cover, vec![true, false]);
     check_sc::<BigRat>(&inst);
@@ -114,7 +130,7 @@ fn fig3_symmetric_kpp_forces_ratio_p() {
     // outputs all p subsets (OPT = 1) — our broadcast algorithm included.
     for p in 1..=4usize {
         let inst = setcover::symmetric_kpp(p, 1);
-        let run = run_fractional_packing::<BigRat>(&inst).unwrap();
+        let run = sec4::<BigRat>(&inst).unwrap();
         assert_eq!(run.cover, vec![true; p], "p = {p}: all subsets saturated");
         check_sc::<BigRat>(&inst);
         // The trivial algorithm fares no better (it picks min-weight = all
@@ -148,7 +164,7 @@ fn weighted_kpp_breaks_symmetry() {
         vec![1, 50, 50],
     )
     .unwrap();
-    let run = run_fractional_packing::<BigRat>(&inst).unwrap();
+    let run = sec4::<BigRat>(&inst).unwrap();
     assert!(run.cover[0], "cheap subset must saturate");
     check_sc::<BigRat>(&inst);
 }
@@ -157,8 +173,8 @@ fn weighted_kpp_breaks_symmetry() {
 fn rat128_matches_bigrat_sc() {
     for seed in 0..3u64 {
         let inst = setcover::random_bounded(8, 6, 2, 3, WeightSpec::Uniform(12), seed);
-        let a = run_fractional_packing::<BigRat>(&inst).unwrap();
-        let b = run_fractional_packing::<Rat128>(&inst).unwrap();
+        let a = sec4::<BigRat>(&inst).unwrap();
+        let b = sec4::<Rat128>(&inst).unwrap();
         assert_eq!(a.cover, b.cover, "seed {seed}");
         for (u, (ya, yb)) in a.packing.y.iter().zip(&b.packing.y).enumerate() {
             assert_eq!(ya.numer().to_i128(), Some(yb.numer()), "element {u}");
@@ -169,17 +185,25 @@ fn rat128_matches_bigrat_sc() {
 
 #[test]
 fn explicit_bounds_with_slack() {
+    let opts = EngineOptions::default();
     let inst = setcover::random_bounded(10, 6, 2, 3, WeightSpec::Uniform(9), 3);
-    let run = run_fractional_packing_with::<BigRat>(&inst, 3, 5, 100, 1).unwrap();
+    let run =
+        run_fractional_packing::<BigRat>(ScInstance::with_bounds(&inst, 3, 5, 100), opts).unwrap();
     assert!(run.packing.is_maximal(&inst));
     assert_eq!(run.trace.rounds, ScConfig::new(3, 5, 100).total_rounds());
 }
 
 #[test]
 fn parallel_matches_sequential_sc() {
+    let opts = EngineOptions::default();
     let inst = setcover::random_bounded(20, 12, 2, 4, WeightSpec::Uniform(16), 9);
-    let seq = run_fractional_packing_with::<BigRat>(&inst, 2, 4, 16, 1).unwrap();
-    let par = run_fractional_packing_with::<BigRat>(&inst, 2, 4, 16, 4).unwrap();
+    let seq =
+        run_fractional_packing::<BigRat>(ScInstance::with_bounds(&inst, 2, 4, 16), opts).unwrap();
+    let par = run_fractional_packing::<BigRat>(
+        ScInstance::with_bounds(&inst, 2, 4, 16),
+        EngineOptions::threads(4),
+    )
+    .unwrap();
     assert_eq!(seq.cover, par.cover);
     assert_eq!(seq.packing, par.packing);
     assert_eq!(seq.trace, par.trace);
@@ -191,6 +215,7 @@ fn parallel_matches_sequential_sc() {
 
 #[test]
 fn vc_broadcast_equals_sc_on_incidence() {
+    let opts = EngineOptions::default();
     // The §5 simulation must produce exactly the cover that §4 produces when
     // run directly on the incidence instance H(G).
     for (g, seed) in [
@@ -201,13 +226,15 @@ fn vc_broadcast_equals_sc_on_incidence() {
         (family::star(4), 5),
     ] {
         let w = WeightSpec::Uniform(9).draw_many(g.n(), seed);
-        let sim = run_vc_broadcast::<BigRat>(&g, &w).unwrap();
+        let sim = sec5::<BigRat>(&g, &w).unwrap();
         assert!(sim.all_saturated, "every element must end saturated");
 
         let inst = incidence_instance(&g, &w);
         let delta = g.max_degree().max(1);
         let wmax = w.iter().copied().max().unwrap();
-        let direct = run_fractional_packing_with::<BigRat>(&inst, 2, delta, wmax, 1).unwrap();
+        let direct =
+            run_fractional_packing::<BigRat>(ScInstance::with_bounds(&inst, 2, delta, wmax), opts)
+                .unwrap();
         assert_eq!(sim.cover, direct.cover, "seed {seed}");
         assert_eq!(sim.dual_value, direct.packing.dual_value());
         // One extra round on G (history catches up at T+1).
@@ -220,7 +247,7 @@ fn vc_broadcast_is_a_2_approx_vertex_cover() {
     for seed in 0..3u64 {
         let g = family::gnp_capped(12, 0.3, 3, seed);
         let w = WeightSpec::Uniform(7).draw_many(g.n(), seed + 50);
-        let run = run_vc_broadcast::<BigRat>(&g, &w).unwrap();
+        let run = sec5::<BigRat>(&g, &w).unwrap();
         // Valid cover.
         for (_, u, v) in g.edge_iter() {
             assert!(run.cover[u] || run.cover[v]);
@@ -237,8 +264,8 @@ fn vc_broadcast_message_blowup_vs_pn() {
     // but max message bits must be much larger than the §3 PN algorithm's.
     let g = family::cycle(8);
     let w = vec![3u64; 8];
-    let pn = run_edge_packing::<BigRat>(&g, &w).unwrap();
-    let bc = run_vc_broadcast::<BigRat>(&g, &w).unwrap();
+    let pn = sec3::<BigRat>(&g, &w).unwrap();
+    let bc = sec5::<BigRat>(&g, &w).unwrap();
     assert!(
         bc.trace.max_message_bits > 10 * pn.trace.max_message_bits,
         "broadcast sim max msg = {} bits, PN max msg = {} bits",
@@ -257,12 +284,12 @@ fn vc_broadcast_frucht_symmetry() {
     // every node saturated, y ≡ 1/3 — and dual = m/3 = 6.
     let g = family::frucht();
     let w = vec![1u64; 12];
-    let run = run_vc_broadcast::<BigRat>(&g, &w).unwrap();
+    let run = sec5::<BigRat>(&g, &w).unwrap();
     assert_eq!(run.cover, vec![true; 12], "all nodes in the cover by symmetry");
     assert_eq!(run.dual_value, BigRat::from_u64(6), "Σy = 18 edges × 1/3");
     // The port-numbering §3 algorithm, in contrast, is allowed to break
     // symmetry (the paper notes prior PN algorithms never output y ≡ 1/3).
-    let pn = run_edge_packing::<BigRat>(&g, &w).unwrap();
+    let pn = sec3::<BigRat>(&g, &w).unwrap();
     assert!(pn.packing.is_maximal(&g, &w));
 }
 
@@ -297,12 +324,14 @@ proptest! {
     ) {
         let g = family::gnp_capped(n, p, 3, seed);
         let w = WeightSpec::Uniform(5).draw_many(n, seed ^ 0x99);
-        let sim = run_vc_broadcast::<BigRat>(&g, &w).unwrap();
+        let sim = sec5::<BigRat>(&g, &w).unwrap();
         prop_assert!(sim.all_saturated);
         let inst = incidence_instance(&g, &w);
         if inst.n_elements() > 0 {
-            let direct = run_fractional_packing_with::<BigRat>(
-                &inst, 2, g.max_degree(), w.iter().copied().max().unwrap(), 1).unwrap();
+            let w_max = w.iter().copied().max().unwrap();
+            let bounds = ScInstance::with_bounds(&inst, 2, g.max_degree(), w_max);
+            let direct =
+                run_fractional_packing::<BigRat>(bounds, EngineOptions::default()).unwrap();
             prop_assert_eq!(&sim.cover, &direct.cover);
         }
     }

@@ -5,15 +5,20 @@
 //! invariantly under covering lifts.
 
 use anonet_bigmath::{AutoRat, BigRat, PackingValue, Rat128};
-use anonet_core::vc_pn::{run_edge_packing, run_edge_packing_with, VcConfig};
+use anonet_core::vc_pn::{run_edge_packing, VcConfig, VcInstance, VcRun};
 use anonet_gen::{family, WeightSpec};
 use anonet_sim::cover::lift;
-use anonet_sim::Graph;
+use anonet_sim::{EngineOptions, Graph, SimError};
 use proptest::prelude::*;
+
+/// One §3 run: bounds derived from the instance, default engine options.
+fn sec3<V: PackingValue>(g: &Graph, weights: &[u64]) -> Result<VcRun<V>, SimError> {
+    run_edge_packing(VcInstance::new(g, weights), EngineOptions::default())
+}
 
 /// All §3 guarantees in one checker.
 fn check_run<V: PackingValue>(g: &Graph, weights: &[u64]) {
-    let run = run_edge_packing::<V>(g, weights).expect("run completes");
+    let run = sec3::<V>(g, weights).expect("run completes");
     // Feasible.
     assert!(run.packing.is_feasible(g, weights), "packing must be feasible");
     // Maximal: every edge saturated.
@@ -41,7 +46,7 @@ fn check_run<V: PackingValue>(g: &Graph, weights: &[u64]) {
 #[test]
 fn single_edge_unweighted() {
     let g = Graph::from_edges(2, &[(0, 1)]).unwrap();
-    let run = run_edge_packing::<BigRat>(&g, &[1, 1]).unwrap();
+    let run = sec3::<BigRat>(&g, &[1, 1]).unwrap();
     // y(e) = 1 saturates... no: both nodes have w = 1, Phase I iteration 1:
     // both offer 1/1; edge gets min = 1 saturating BOTH nodes.
     assert_eq!(run.packing.y[0], BigRat::one());
@@ -53,7 +58,7 @@ fn single_edge_unweighted() {
 fn single_edge_weighted_asymmetric() {
     let g = Graph::from_edges(2, &[(0, 1)]).unwrap();
     // w = (1, 5): the edge can only reach y = 1; node 0 saturates.
-    let run = run_edge_packing::<BigRat>(&g, &[1, 5]).unwrap();
+    let run = sec3::<BigRat>(&g, &[1, 5]).unwrap();
     assert_eq!(run.packing.y[0], BigRat::one());
     assert_eq!(run.cover, vec![true, false]);
     // Optimal cover is {0} with weight 1 — the algorithm matches the optimum.
@@ -66,7 +71,7 @@ fn triangle_unweighted_symmetric() {
     // (the case where multicolouring is impossible); y(e) = 1/2, all nodes in
     // the cover (ratio exactly 3/2 vs OPT = 2).
     let g = Graph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]).unwrap();
-    let run = run_edge_packing::<BigRat>(&g, &[1, 1, 1]).unwrap();
+    let run = sec3::<BigRat>(&g, &[1, 1, 1]).unwrap();
     for e in 0..3 {
         assert_eq!(run.packing.y[e], BigRat::from_frac(1, 2));
     }
@@ -78,7 +83,7 @@ fn triangle_unweighted_symmetric() {
 fn path_weighted_middle_cheap() {
     // Path a - b - c with w(b) small: b should saturate, covering both edges.
     let g = Graph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
-    let run = run_edge_packing::<BigRat>(&g, &[10, 1, 10]).unwrap();
+    let run = sec3::<BigRat>(&g, &[10, 1, 10]).unwrap();
     assert!(run.cover[1]);
     check_run::<BigRat>(&g, &[10, 1, 10]);
     let cover_weight: u64 = (0..3).filter(|&v| run.cover[v]).map(|v| [10, 1, 10][v]).sum();
@@ -90,7 +95,7 @@ fn star_heavy_hub() {
     let g = family::star(6);
     let mut w = vec![100u64; 7];
     w[0] = 3; // cheap hub
-    let run = run_edge_packing::<BigRat>(&g, &w).unwrap();
+    let run = sec3::<BigRat>(&g, &w).unwrap();
     assert!(run.cover[0], "cheap hub must be saturated");
     check_run::<BigRat>(&g, &w);
 }
@@ -112,13 +117,15 @@ fn schedule_is_exact_formula() {
 
 #[test]
 fn rounds_independent_of_n() {
+    let opts = EngineOptions::default();
     // The same (Δ, W) gives the same round count regardless of n — the
     // "strictly local" property that distinguishes this algorithm in Table 1.
     let mut counts = Vec::new();
     for n in [8usize, 64, 512] {
         let g = family::random_regular(n, 4, 99);
         let w = WeightSpec::Uniform(100).draw_many(n, 5);
-        let run = run_edge_packing_with::<BigRat>(&g, &w, 4, 100, 1).unwrap();
+        let run =
+            run_edge_packing::<BigRat>(VcInstance::with_bounds(&g, &w, 4, 100), opts).unwrap();
         assert!(run.packing.is_maximal(&g, &w));
         counts.push(run.trace.rounds);
     }
@@ -165,11 +172,13 @@ fn families_weighted() {
 
 #[test]
 fn huge_weights_w_2_64() {
+    let opts = EngineOptions::default();
     // "the algorithms are fast even if one chooses a very large value of W
     // such as W = 2^64" (§1.4).
     let g = family::random_regular(16, 3, 4);
     let w = WeightSpec::Uniform(u64::MAX).draw_many(16, 11);
-    let run = run_edge_packing_with::<BigRat>(&g, &w, 3, u64::MAX, 1).unwrap();
+    let run =
+        run_edge_packing::<BigRat>(VcInstance::with_bounds(&g, &w, 3, u64::MAX), opts).unwrap();
     assert!(run.packing.is_maximal(&g, &w));
     let cfg = VcConfig::new(3, u64::MAX);
     assert_eq!(run.trace.rounds, cfg.total_rounds());
@@ -181,8 +190,8 @@ fn rat128_matches_bigrat() {
     for seed in 0..5u64 {
         let g = family::gnp_capped(18, 0.25, 4, seed);
         let w = WeightSpec::Uniform(30).draw_many(g.n(), seed + 100);
-        let a = run_edge_packing::<BigRat>(&g, &w).unwrap();
-        let b = run_edge_packing::<Rat128>(&g, &w).unwrap();
+        let a = sec3::<BigRat>(&g, &w).unwrap();
+        let b = sec3::<Rat128>(&g, &w).unwrap();
         assert_eq!(a.cover, b.cover, "seed {seed}");
         for (e, (ya, yb)) in a.packing.y.iter().zip(&b.packing.y).enumerate() {
             assert_eq!(ya.numer().to_i128(), Some(yb.numer()), "edge {e} numerator, seed {seed}");
@@ -209,8 +218,8 @@ fn autorat_matches_bigrat_across_promotion_boundary() {
                 }
             })
             .collect();
-        let a = run_edge_packing::<BigRat>(&g, &w).unwrap();
-        let b = run_edge_packing::<AutoRat>(&g, &w).unwrap();
+        let a = sec3::<BigRat>(&g, &w).unwrap();
+        let b = sec3::<AutoRat>(&g, &w).unwrap();
         assert_eq!(a.cover, b.cover, "seed {seed}");
         assert_eq!(a.trace, b.trace, "trace must be bit-identical, seed {seed}");
         for (e, (ya, yb)) in a.packing.y.iter().zip(&b.packing.y).enumerate() {
@@ -223,7 +232,7 @@ fn autorat_matches_bigrat_across_promotion_boundary() {
 #[test]
 fn isolated_nodes_are_excluded() {
     let g = Graph::from_edges(5, &[(0, 1)]).unwrap();
-    let run = run_edge_packing::<BigRat>(&g, &[1, 1, 7, 7, 7]).unwrap();
+    let run = sec3::<BigRat>(&g, &[1, 1, 7, 7, 7]).unwrap();
     assert!(!run.cover[2] && !run.cover[3] && !run.cover[4]);
     check_run::<BigRat>(&g, &[1, 1, 7, 7, 7]);
 }
@@ -231,7 +240,7 @@ fn isolated_nodes_are_excluded() {
 #[test]
 fn empty_graph() {
     let g = Graph::from_edges(4, &[]).unwrap();
-    let run = run_edge_packing::<BigRat>(&g, &[5, 5, 5, 5]).unwrap();
+    let run = sec3::<BigRat>(&g, &[5, 5, 5, 5]).unwrap();
     assert_eq!(run.cover, vec![false; 4]);
     assert!(run.packing.y.is_empty());
 }
@@ -242,11 +251,11 @@ fn lift_invariance() {
     // covering maps — the lift of a node computes exactly the node's output.
     let g = family::petersen();
     let w = WeightSpec::Uniform(9).draw_many(10, 21);
-    let base = run_edge_packing::<BigRat>(&g, &w).unwrap();
+    let base = sec3::<BigRat>(&g, &w).unwrap();
 
     let l = lift(&g, 3, 1234);
     let lifted_w: Vec<u64> = (0..l.graph.n()).map(|vp| w[l.projection[vp]]).collect();
-    let lifted = run_edge_packing::<BigRat>(&l.graph, &lifted_w).unwrap();
+    let lifted = sec3::<BigRat>(&l.graph, &lifted_w).unwrap();
 
     for vp in 0..l.graph.n() {
         assert_eq!(
@@ -270,10 +279,11 @@ fn port_numbering_can_change_output_but_not_guarantees() {
 
 #[test]
 fn explicit_global_bounds_allowed_to_exceed_instance() {
+    let opts = EngineOptions::default();
     // Δ and W are upper bounds; running with slack must stay correct.
     let g = family::cycle(8);
     let w = vec![3u64; 8];
-    let run = run_edge_packing_with::<BigRat>(&g, &w, 5, 1000, 1).unwrap();
+    let run = run_edge_packing::<BigRat>(VcInstance::with_bounds(&g, &w, 5, 1000), opts).unwrap();
     assert!(run.packing.is_maximal(&g, &w));
     let cfg = VcConfig::new(5, 1000);
     assert_eq!(run.trace.rounds, cfg.total_rounds());
@@ -281,10 +291,15 @@ fn explicit_global_bounds_allowed_to_exceed_instance() {
 
 #[test]
 fn parallel_engine_identical() {
+    let opts = EngineOptions::default();
     let g = family::random_regular(64, 4, 17);
     let w = WeightSpec::Uniform(64).draw_many(64, 18);
-    let seq = run_edge_packing_with::<BigRat>(&g, &w, 4, 64, 1).unwrap();
-    let par = run_edge_packing_with::<BigRat>(&g, &w, 4, 64, 4).unwrap();
+    let seq = run_edge_packing::<BigRat>(VcInstance::with_bounds(&g, &w, 4, 64), opts).unwrap();
+    let par = run_edge_packing::<BigRat>(
+        VcInstance::with_bounds(&g, &w, 4, 64),
+        EngineOptions::threads(4),
+    )
+    .unwrap();
     assert_eq!(seq.cover, par.cover);
     assert_eq!(seq.packing, par.packing);
     assert_eq!(seq.trace, par.trace);

@@ -46,7 +46,4 @@ pub mod runtime;
 pub mod scenario;
 
 pub use config::{ChurnPlan, DelayModel, LossModel, NetworkConfig};
-pub use runtime::{
-    run_async_bcast, run_async_engine, run_async_pn, AsyncError, AsyncResult, AsyncRuntime,
-    AsyncTrace,
-};
+pub use runtime::{run_async_engine, AsyncError, AsyncResult, AsyncRuntime, AsyncTrace};

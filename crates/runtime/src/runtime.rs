@@ -1,6 +1,7 @@
 //! The asynchronous executor: an α-synchronizer driving unchanged
-//! [`PnAlgorithm`]/[`BcastAlgorithm`] node programs over a simulated
-//! message-passing network.
+//! [`PnAlgorithm`](anonet_sim::PnAlgorithm) /
+//! [`BcastAlgorithm`](anonet_sim::BcastAlgorithm) node programs over a
+//! simulated message-passing network.
 //!
 //! ## Execution model
 //!
@@ -52,10 +53,7 @@
 use crate::config::NetworkConfig;
 use crate::events::{Event, EventKind, EventQueue, Payload};
 use anonet_gen::Rng;
-use anonet_sim::{
-    BcastAlgorithm, Broadcast, Delivery, GatherScratch, Graph, MessageSize, PnAlgorithm,
-    PortNumbering, Trace,
-};
+use anonet_sim::{Delivery, GatherScratch, Graph, MessageSize, Trace};
 use std::fmt;
 
 /// Bits of a synchronizer round tag (data messages) and of an ack.
@@ -800,8 +798,8 @@ impl<'a, A, D: Delivery<A>> AsyncRuntime<'a, A, D> {
 }
 
 /// Runs an algorithm to completion under delivery model `D` on the
-/// asynchronous runtime — the generic core behind [`run_async_pn`] /
-/// [`run_async_bcast`], mirroring [`run_engine`](anonet_sim::run_engine).
+/// asynchronous runtime — the one run entry of this executor, mirroring
+/// [`run_engine`](anonet_sim::run_engine) for the synchronous engine.
 pub fn run_async_engine<A, D: Delivery<A>>(
     g: &Graph,
     cfg: &D::Config,
@@ -812,35 +810,12 @@ pub fn run_async_engine<A, D: Delivery<A>>(
     AsyncRuntime::<A, D>::new(g, cfg, inputs, max_rounds, net)?.run()
 }
 
-/// Runs a port-numbering algorithm to completion on the asynchronous
-/// runtime.
-pub fn run_async_pn<A: PnAlgorithm>(
-    g: &Graph,
-    cfg: &A::Config,
-    inputs: &[A::Input],
-    max_rounds: u64,
-    net: &NetworkConfig,
-) -> Result<AsyncResult<A::Output>, AsyncError> {
-    run_async_engine::<A, PortNumbering>(g, cfg, inputs, max_rounds, net)
-}
-
-/// Runs a broadcast algorithm to completion on the asynchronous runtime.
-pub fn run_async_bcast<A: BcastAlgorithm>(
-    g: &Graph,
-    cfg: &A::Config,
-    inputs: &[A::Input],
-    max_rounds: u64,
-    net: &NetworkConfig,
-) -> Result<AsyncResult<A::Output>, AsyncError> {
-    run_async_engine::<A, Broadcast>(g, cfg, inputs, max_rounds, net)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{ChurnPlan, DelayModel};
     use anonet_selfstab::FaultPlan;
-    use anonet_sim::run_pn;
+    use anonet_sim::{run_engine, EngineOptions, PnAlgorithm, PortNumbering};
 
     /// Gossip the running maximum; halt at the round carried in the input's
     /// low byte (mirrors the engine bench workload).
@@ -884,8 +859,11 @@ mod tests {
     fn ideal_matches_sync_engine() {
         let g = ring(16);
         let ins = inputs(16, |v| v % 5 + 1);
-        let sync = run_pn::<Gossip>(&g, &(), &ins, 20).unwrap();
-        let res = run_async_pn::<Gossip>(&g, &(), &ins, 20, &NetworkConfig::ideal()).unwrap();
+        let sync = run_engine::<Gossip, PortNumbering>(&g, &(), &ins, 20, EngineOptions::default())
+            .unwrap();
+        let res =
+            run_async_engine::<Gossip, PortNumbering>(&g, &(), &ins, 20, &NetworkConfig::ideal())
+                .unwrap();
         assert_eq!(res.outputs, sync.outputs);
     }
 
@@ -893,7 +871,9 @@ mod tests {
     fn trace_exports_to_metrics_registry() {
         let g = ring(16);
         let ins = inputs(16, |v| v % 5 + 1);
-        let res = run_async_pn::<Gossip>(&g, &(), &ins, 20, &NetworkConfig::ideal()).unwrap();
+        let res =
+            run_async_engine::<Gossip, PortNumbering>(&g, &(), &ins, 20, &NetworkConfig::ideal())
+                .unwrap();
         let reg = anonet_obs::Registry::new();
         res.trace.export_metrics(&reg);
         let snap = reg.snapshot();
@@ -910,13 +890,14 @@ mod tests {
     fn lossy_jittered_still_matches_sync_outputs() {
         let g = ring(12);
         let ins = inputs(12, |v| v % 4 + 2);
-        let sync = run_pn::<Gossip>(&g, &(), &ins, 20).unwrap();
+        let sync = run_engine::<Gossip, PortNumbering>(&g, &(), &ins, 20, EngineOptions::default())
+            .unwrap();
         let net = NetworkConfig::ideal()
             .with_delays(DelayModel::Uniform { lo: 0, hi: 9 })
             .with_loss(0.2, 4)
             .non_fifo()
             .with_seed(99);
-        let res = run_async_pn::<Gossip>(&g, &(), &ins, 20, &net).unwrap();
+        let res = run_async_engine::<Gossip, PortNumbering>(&g, &(), &ins, 20, &net).unwrap();
         assert_eq!(res.outputs, sync.outputs);
         assert!(res.trace.dropped_data > 0, "20% loss must drop something");
         assert!(res.trace.retransmissions > 0, "drops must trigger retransmissions");
@@ -926,7 +907,8 @@ mod tests {
     fn churn_delays_but_does_not_corrupt() {
         let g = ring(10);
         let ins = inputs(10, |_| 6);
-        let sync = run_pn::<Gossip>(&g, &(), &ins, 20).unwrap();
+        let sync = run_engine::<Gossip, PortNumbering>(&g, &(), &ins, 20, EngineOptions::default())
+            .unwrap();
         let churn = ChurnPlan {
             plan: FaultPlan { rounds: vec![1, 2], fraction: 0.3, seed: 7 },
             round_ticks: 3,
@@ -939,7 +921,7 @@ mod tests {
             .with_loss(0.0, 4)
             .with_churn(churn)
             .with_seed(5);
-        let res = run_async_pn::<Gossip>(&g, &(), &ins, 20, &net).unwrap();
+        let res = run_async_engine::<Gossip, PortNumbering>(&g, &(), &ins, 20, &net).unwrap();
         assert_eq!(res.outputs, sync.outputs);
         assert!(res.trace.crashes > 0 && res.trace.restarts > 0);
     }
@@ -947,8 +929,14 @@ mod tests {
     #[test]
     fn isolated_nodes_advance_and_halt() {
         let g = Graph::from_edges(3, &[]).unwrap();
-        let res = run_async_pn::<Gossip>(&g, &(), &inputs(3, |_| 4), 10, &NetworkConfig::ideal())
-            .unwrap();
+        let res = run_async_engine::<Gossip, PortNumbering>(
+            &g,
+            &(),
+            &inputs(3, |_| 4),
+            10,
+            &NetworkConfig::ideal(),
+        )
+        .unwrap();
         assert_eq!(res.outputs, vec![0, 1, 2]);
         assert_eq!(res.trace.rounds, 4);
     }
@@ -956,15 +944,23 @@ mod tests {
     #[test]
     fn round_limit_error() {
         let g = ring(4);
-        let err = run_async_pn::<Gossip>(&g, &(), &inputs(4, |_| 9), 3, &NetworkConfig::ideal())
-            .unwrap_err();
+        let err = run_async_engine::<Gossip, PortNumbering>(
+            &g,
+            &(),
+            &inputs(4, |_| 9),
+            3,
+            &NetworkConfig::ideal(),
+        )
+        .unwrap_err();
         assert_eq!(err, AsyncError::RoundLimit { limit: 3, halted: 0, n: 4 });
     }
 
     #[test]
     fn input_length_error() {
         let g = ring(4);
-        let err = run_async_pn::<Gossip>(&g, &(), &[0, 0], 3, &NetworkConfig::ideal()).unwrap_err();
+        let err =
+            run_async_engine::<Gossip, PortNumbering>(&g, &(), &[0, 0], 3, &NetworkConfig::ideal())
+                .unwrap_err();
         assert_eq!(err, AsyncError::InputLength { got: 2, want: 4 });
     }
 
@@ -972,7 +968,8 @@ mod tests {
     fn event_limit_error() {
         let g = ring(8);
         let net = NetworkConfig::ideal().with_max_events(5);
-        let err = run_async_pn::<Gossip>(&g, &(), &inputs(8, |_| 4), 10, &net).unwrap_err();
+        let err = run_async_engine::<Gossip, PortNumbering>(&g, &(), &inputs(8, |_| 4), 10, &net)
+            .unwrap_err();
         assert!(matches!(err, AsyncError::EventLimit { limit: 5, .. }));
     }
 
@@ -984,12 +981,18 @@ mod tests {
             .with_delays(DelayModel::Exponential { mean: 6 })
             .with_loss(0.1, 5)
             .with_seed(1234);
-        let a = run_async_pn::<Gossip>(&g, &(), &ins, 30, &net).unwrap();
-        let b = run_async_pn::<Gossip>(&g, &(), &ins, 30, &net).unwrap();
+        let a = run_async_engine::<Gossip, PortNumbering>(&g, &(), &ins, 30, &net).unwrap();
+        let b = run_async_engine::<Gossip, PortNumbering>(&g, &(), &ins, 30, &net).unwrap();
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.trace, b.trace);
-        let other =
-            run_async_pn::<Gossip>(&g, &(), &ins, 30, &net.clone().with_seed(4321)).unwrap();
+        let other = run_async_engine::<Gossip, PortNumbering>(
+            &g,
+            &(),
+            &ins,
+            30,
+            &net.clone().with_seed(4321),
+        )
+        .unwrap();
         assert_ne!(a.trace.event_hash, other.trace.event_hash, "different seed, different trace");
     }
 
@@ -999,8 +1002,11 @@ mod tests {
         // receipts coincide with the synchronous all-nodes-send accounting.
         let g = ring(9);
         let ins = inputs(9, |_| 5);
-        let sync = run_pn::<Gossip>(&g, &(), &ins, 10).unwrap();
-        let res = run_async_pn::<Gossip>(&g, &(), &ins, 10, &NetworkConfig::ideal()).unwrap();
+        let sync = run_engine::<Gossip, PortNumbering>(&g, &(), &ins, 10, EngineOptions::default())
+            .unwrap();
+        let res =
+            run_async_engine::<Gossip, PortNumbering>(&g, &(), &ins, 10, &NetworkConfig::ideal())
+                .unwrap();
         assert_eq!(res.trace.delivered_trace(), sync.trace);
         assert_eq!(res.trace.duplicates, 0);
         assert_eq!(res.trace.retransmissions, 0);

@@ -52,8 +52,8 @@ pub fn churny_radio(seed: u64) -> NetworkConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::run_async_pn;
-    use anonet_sim::{Graph, PnAlgorithm};
+    use crate::runtime::run_async_engine;
+    use anonet_sim::{Graph, PnAlgorithm, PortNumbering};
 
     #[test]
     fn scenarios_are_well_formed() {
@@ -117,8 +117,12 @@ mod tests {
         let g = Graph::from_edges(12, &edges).unwrap();
         let inputs: Vec<u64> = (0..12u64).collect();
         for preset in PRESETS {
-            let a = run_async_pn::<Gossip>(&g, &6, &inputs, 8, &net_for(preset, 99)).unwrap();
-            let b = run_async_pn::<Gossip>(&g, &6, &inputs, 8, &net_for(preset, 99)).unwrap();
+            let a =
+                run_async_engine::<Gossip, PortNumbering>(&g, &6, &inputs, 8, &net_for(preset, 99))
+                    .unwrap();
+            let b =
+                run_async_engine::<Gossip, PortNumbering>(&g, &6, &inputs, 8, &net_for(preset, 99))
+                    .unwrap();
             assert_eq!(a.outputs, b.outputs, "{preset}: outputs");
             assert_eq!(a.trace, b.trace, "{preset}: full AsyncTrace incl. event_hash");
         }
@@ -133,8 +137,12 @@ mod tests {
         let g = Graph::from_edges(12, &edges).unwrap();
         let inputs: Vec<u64> = (0..12u64).collect();
         for preset in ["wan", "lossy_radio", "churny_radio"] {
-            let a = run_async_pn::<Gossip>(&g, &6, &inputs, 8, &net_for(preset, 1)).unwrap();
-            let b = run_async_pn::<Gossip>(&g, &6, &inputs, 8, &net_for(preset, 2)).unwrap();
+            let a =
+                run_async_engine::<Gossip, PortNumbering>(&g, &6, &inputs, 8, &net_for(preset, 1))
+                    .unwrap();
+            let b =
+                run_async_engine::<Gossip, PortNumbering>(&g, &6, &inputs, 8, &net_for(preset, 2))
+                    .unwrap();
             assert_ne!(a.trace.event_hash, b.trace.event_hash, "{preset}: seed ignored?");
             // Outputs are nevertheless identical — the synchronizer
             // guarantee — so determinism differences live in the schedule.

@@ -14,9 +14,7 @@ use anonet_core::certify::certify_vertex_cover;
 use anonet_core::vc_bcast::{VcBcastConfig, VcBcastNode};
 use anonet_core::vc_pn::{fold_vc_outputs, EdgePackingNode, VcConfig};
 use anonet_gen::{family, Rng};
-use anonet_runtime::{
-    run_async_bcast, run_async_engine, run_async_pn, ChurnPlan, DelayModel, NetworkConfig,
-};
+use anonet_runtime::{run_async_engine, ChurnPlan, DelayModel, NetworkConfig};
 use anonet_selfstab::FaultPlan;
 use anonet_sim::{
     run_engine, BcastAlgorithm, Broadcast, EngineOptions, Graph, PnAlgorithm, PortNumbering,
@@ -120,7 +118,8 @@ proptest! {
         let g = seeded_gnp(n, p, seed);
         let inputs: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul(seed | 1)).collect();
         let limit = spread + 2;
-        let res = run_async_pn::<StaggerHash>(&g, &spread, &inputs, limit, &NetworkConfig::ideal())
+        let res = run_async_engine::<StaggerHash, PortNumbering>(
+            &g, &spread, &inputs, limit, &NetworkConfig::ideal())
             .unwrap();
         // `8` deliberately overshoots small CI boxes: the engine keeps the
         // partition granularity and caps its pooled worker width, and the
@@ -128,7 +127,8 @@ proptest! {
         for threads in [1usize, 2, 4, 8] {
             for frontier_skipping in [false, true] {
                 let opts = EngineOptions { threads, frontier_skipping };
-                let sync = run_engine::<StaggerHash, PortNumbering>(&g, &spread, &inputs, limit, opts)
+                let sync = run_engine::<StaggerHash, PortNumbering>(
+                    &g, &spread, &inputs, limit, opts)
                     .unwrap();
                 prop_assert_eq!(&res.outputs, &sync.outputs, "t={} skip={}", threads, frontier_skipping);
             }
@@ -146,7 +146,8 @@ proptest! {
         let g = seeded_gnp(n, p, seed);
         let inputs: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul((seed >> 1) | 1)).collect();
         let limit = spread + 2;
-        let res = run_async_bcast::<StaggerCensus>(&g, &spread, &inputs, limit, &NetworkConfig::ideal())
+        let res = run_async_engine::<StaggerCensus, Broadcast>(
+            &g, &spread, &inputs, limit, &NetworkConfig::ideal())
             .unwrap();
         for threads in [1usize, 4, 8] {
             let opts = EngineOptions { threads, frontier_skipping: true };
@@ -182,7 +183,8 @@ proptest! {
             })
             .non_fifo()
             .with_seed(seed.wrapping_add(17));
-        let res = run_async_pn::<StaggerHash>(&g, &spread, &inputs, spread + 2, &net).unwrap();
+        let res = run_async_engine::<StaggerHash, PortNumbering>(
+            &g, &spread, &inputs, spread + 2, &net).unwrap();
         prop_assert_eq!(&res.outputs, &sync.outputs);
     }
 
@@ -212,7 +214,8 @@ proptest! {
             })
             .non_fifo()
             .with_seed(seed.wrapping_add(33));
-        let res = run_async_bcast::<StaggerCensus>(&g, &spread, &inputs, spread + 2, &net).unwrap();
+        let res = run_async_engine::<StaggerCensus, Broadcast>(
+            &g, &spread, &inputs, spread + 2, &net).unwrap();
         prop_assert_eq!(&res.outputs, &sync.outputs);
     }
 
@@ -234,8 +237,10 @@ proptest! {
             .with_loss(0.15, 6)
             .non_fifo()
             .with_seed(seed);
-        let a = run_async_pn::<StaggerHash>(&g, &spread, &inputs, spread + 2, &net).unwrap();
-        let b = run_async_pn::<StaggerHash>(&g, &spread, &inputs, spread + 2, &net).unwrap();
+        let a = run_async_engine::<StaggerHash, PortNumbering>(
+            &g, &spread, &inputs, spread + 2, &net).unwrap();
+        let b = run_async_engine::<StaggerHash, PortNumbering>(
+            &g, &spread, &inputs, spread + 2, &net).unwrap();
         prop_assert_eq!(&a.outputs, &b.outputs);
         prop_assert_eq!(&a.trace, &b.trace);
     }
@@ -253,9 +258,9 @@ proptest! {
         let g = seeded_gnp(n, p, seed);
         let spread = 4u64;
         let inputs: Vec<u64> = (0..n as u64).collect();
-        let ideal = run_async_pn::<StaggerHash>(
+        let ideal = run_async_engine::<StaggerHash, PortNumbering>(
             &g, &spread, &inputs, spread + 2, &NetworkConfig::ideal().with_seed(seed)).unwrap();
-        let lossy = run_async_pn::<StaggerHash>(
+        let lossy = run_async_engine::<StaggerHash, PortNumbering>(
             &g, &spread, &inputs, spread + 2,
             &NetworkConfig::ideal().with_loss(0.25, 3).with_seed(seed)).unwrap();
         prop_assert_eq!(lossy.trace.messages, ideal.trace.messages);
@@ -275,16 +280,11 @@ proptest! {
 
 /// Runs §3 edge packing on both executors and checks bit-identical outputs.
 fn assert_vc_pn_equivalent(g: &Graph, weights: &[u64], net: &NetworkConfig) {
+    let opts = EngineOptions::default();
     let cfg = VcConfig::new(g.max_degree(), weights.iter().copied().max().unwrap_or(1).max(1));
     let limit = cfg.total_rounds();
-    let sync = run_engine::<EdgePackingNode<BigRat>, PortNumbering>(
-        g,
-        &cfg,
-        weights,
-        limit,
-        EngineOptions::default(),
-    )
-    .unwrap();
+    let sync = run_engine::<EdgePackingNode<BigRat>, PortNumbering>(g, &cfg, weights, limit, opts)
+        .unwrap();
     let res =
         run_async_engine::<EdgePackingNode<BigRat>, PortNumbering>(g, &cfg, weights, limit, net)
             .unwrap();
@@ -310,20 +310,14 @@ fn vc_pn_ideal_equivalence_acceptance() {
 
 #[test]
 fn vc_bcast_ideal_equivalence_acceptance() {
+    let opts = EngineOptions::default();
     // One broadcast algorithm (§5 vertex cover) under the ideal network:
     // bit-identical outputs to the synchronous engine.
     for (g, seed) in [(family::cycle(8), 6u64), (family::star(5), 7), (family::grid(3, 3), 8)] {
         let w = seeded_weights(g.n(), 5, seed);
         let cfg = VcBcastConfig::new(g.max_degree(), w.iter().copied().max().unwrap_or(1).max(1));
         let limit = cfg.total_rounds();
-        let sync = run_engine::<VcBcastNode<BigRat>, Broadcast>(
-            &g,
-            &cfg,
-            &w,
-            limit,
-            EngineOptions::default(),
-        )
-        .unwrap();
+        let sync = run_engine::<VcBcastNode<BigRat>, Broadcast>(&g, &cfg, &w, limit, opts).unwrap();
         let res = run_async_engine::<VcBcastNode<BigRat>, Broadcast>(
             &g,
             &cfg,
@@ -376,25 +370,20 @@ fn vc_pn_lossy_jittered_terminates_with_certified_cover() {
 
 #[test]
 fn isolated_and_tiny_graphs() {
+    let opts = EngineOptions::default();
     // Isolated nodes self-drive; single edges exercise the minimal
     // synchronizer handshake.
     let g = Graph::from_edges(4, &[(1, 2)]).unwrap();
     let spread = 3u64;
     let inputs = vec![7u64, 8, 9, 10];
-    let sync = run_engine::<StaggerHash, PortNumbering>(
-        &g,
-        &spread,
-        &inputs,
-        10,
-        EngineOptions::default(),
-    )
-    .unwrap();
+    let sync = run_engine::<StaggerHash, PortNumbering>(&g, &spread, &inputs, 10, opts).unwrap();
     for net in [
         NetworkConfig::ideal(),
         NetworkConfig::ideal().with_delays(DelayModel::Constant(3)).with_seed(2),
         NetworkConfig::ideal().with_loss(0.3, 2).with_seed(3),
     ] {
-        let res = run_async_pn::<StaggerHash>(&g, &spread, &inputs, 10, &net).unwrap();
+        let res =
+            run_async_engine::<StaggerHash, PortNumbering>(&g, &spread, &inputs, 10, &net).unwrap();
         assert_eq!(res.outputs, sync.outputs);
     }
 }

@@ -3,9 +3,10 @@
 //! stop, from *any* corruption.
 
 use anonet_bigmath::BigRat;
-use anonet_core::vc_pn::{run_edge_packing, EdgePackingNode, VcConfig, VcOutput};
+use anonet_core::vc_pn::{run_edge_packing, EdgePackingNode, VcConfig, VcInstance, VcOutput};
 use anonet_gen::{family, Rng, WeightSpec};
 use anonet_selfstab::{strike, SelfStabConfig, SelfStabHarness};
+use anonet_sim::EngineOptions;
 
 type Node = EdgePackingNode<BigRat>;
 
@@ -19,7 +20,8 @@ fn stabilization_round(
     seed: u64,
 ) -> (u64, u64) {
     let reference: Vec<VcOutput<BigRat>> = {
-        let run = run_edge_packing::<BigRat>(g, weights).unwrap();
+        let run = run_edge_packing::<BigRat>(VcInstance::new(g, weights), EngineOptions::default())
+            .unwrap();
         // Reconstruct per-node outputs from the run for comparison.
         (0..g.n())
             .map(|v| VcOutput {

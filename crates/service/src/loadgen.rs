@@ -15,7 +15,7 @@
 
 use crate::client::Client;
 use crate::portfolio::{InstanceKind, SolverId};
-use crate::wire::{InstanceResult, Scenario, SolveRequest, SolveResponse};
+use crate::wire::{InstanceResult, Scenario, SolveRequest, SolveResponse, Solved};
 use anonet_core::canon;
 use anonet_gen::{family, setcover, WeightSpec};
 use anonet_obs::{Histo, HistoSnapshot, MetricValue, Snapshot};
@@ -179,7 +179,8 @@ pub struct Report {
     pub cached_instances: u64,
     /// Solved instances total.
     pub solved_instances: u64,
-    /// Solved instances whose certificate bound checked out at the edge.
+    /// Solved instances that checked out at the edge against the blob the
+    /// client sent ([`instance_certified`]).
     pub certified_instances: u64,
     /// Wall-clock of the whole drive.
     pub elapsed: Duration,
@@ -280,6 +281,15 @@ impl Report {
     }
 }
 
+/// The client-side check of one solved instance against the blob the
+/// client sent: the cover covers that instance with exactly the weight the
+/// reply claims ([`canon::cover_holds`]), and the claimed weight is within
+/// the certificate's factor of its dual ([`canon::certificate_bound_holds`]).
+pub fn instance_certified(blob: &[u8], sv: &Solved) -> bool {
+    canon::cover_holds(blob, &sv.cover, sv.certificate.cover_weight)
+        && canon::certificate_bound_holds(&sv.certificate)
+}
+
 /// Drives `cfg.requests` requests built from the blob pool against the
 /// server, returning the aggregate report.
 pub fn drive(solver: SolverId, blobs: &[Vec<u8>], cfg: &DriveConfig) -> io::Result<Report> {
@@ -348,13 +358,12 @@ pub fn drive_mixed(pools: &[(SolverId, Vec<Vec<u8>>)], cfg: &DriveConfig) -> io:
                         match resp {
                             SolveResponse::Ok(results) => {
                                 let mut any_err = false;
-                                for res in &results {
+                                for (res, blob) in results.iter().zip(&req.instances) {
                                     match res {
                                         InstanceResult::Solved(sv) => {
                                             local.solved_instances += 1;
                                             local.cached_instances += u64::from(sv.from_cache);
-                                            let certified =
-                                                canon::certificate_bound_holds(&sv.certificate);
+                                            let certified = instance_certified(blob, sv);
                                             local.certified_instances += u64::from(certified);
                                         }
                                         InstanceResult::Error(_) => any_err = true,
@@ -462,7 +471,7 @@ fn drive_conns(pools: &[(SolverId, Vec<Vec<u8>>)], cfg: &DriveConfig) -> io::Res
     // `i` round-robins the solver pools and batches within its own pool.
     // Cycle length covers every (solver, pool offset) combination.
     let longest = pools.iter().map(|(_, blobs)| blobs.len()).max().unwrap_or(1);
-    let payloads: Vec<Vec<u8>> = (0..longest * pools.len())
+    let reqs: Vec<SolveRequest> = (0..longest * pools.len())
         .map(|i| {
             let (solver, blobs) = &pools[i % pools.len()];
             let instances: Vec<Vec<u8>> =
@@ -474,9 +483,10 @@ fn drive_conns(pools: &[(SolverId, Vec<Vec<u8>>)], cfg: &DriveConfig) -> io::Res
             if cfg.no_cache {
                 req = req.no_cache();
             }
-            crate::wire::encode_solve_request(&req)
+            req
         })
         .collect();
+    let payloads: Vec<Vec<u8>> = reqs.iter().map(crate::wire::encode_solve_request).collect();
 
     struct Conn {
         sock: std::net::TcpStream,
@@ -486,9 +496,9 @@ fn drive_conns(pools: &[(SolverId, Vec<Vec<u8>>)], cfg: &DriveConfig) -> io::Res
         assigned: usize,
         sent: usize,
         recvd: usize,
-        /// Enqueue instants of in-flight requests, FIFO (pipelined replies
-        /// come back in order).
-        sent_at: VecDeque<Instant>,
+        /// Enqueue instants and request indices of in-flight requests, FIFO
+        /// (pipelined replies come back in order).
+        sent_at: VecDeque<(Instant, usize)>,
         interest: u32,
         done: bool,
     }
@@ -524,7 +534,7 @@ fn drive_conns(pools: &[(SolverId, Vec<Vec<u8>>)], cfg: &DriveConfig) -> io::Res
     // Tallies one decoded reply frame into the report, mirroring the
     // threaded driver's per-response accounting (Busy backoff excepted:
     // pipelined connections never sleep).
-    let settle_reply = |frame: &[u8], queued_at: Instant, report: &mut Report| {
+    let settle_reply = |frame: &[u8], (queued_at, req): (Instant, usize), report: &mut Report| {
         let mut r = canon::ByteReader::new(frame);
         let resp = match crate::wire::read_header(&mut r) {
             Ok(crate::wire::MSG_SOLVE_RESPONSE) => crate::wire::decode_solve_response(&mut r),
@@ -534,12 +544,12 @@ fn drive_conns(pools: &[(SolverId, Vec<Vec<u8>>)], cfg: &DriveConfig) -> io::Res
         match resp {
             Ok(SolveResponse::Ok(results)) => {
                 let mut any_err = false;
-                for res in &results {
+                for (res, blob) in results.iter().zip(&reqs[req].instances) {
                     match res {
                         InstanceResult::Solved(sv) => {
                             report.solved_instances += 1;
                             report.cached_instances += u64::from(sv.from_cache);
-                            let certified = canon::certificate_bound_holds(&sv.certificate);
+                            let certified = instance_certified(blob, sv);
                             report.certified_instances += u64::from(certified);
                         }
                         InstanceResult::Error(_) => any_err = true,
@@ -568,7 +578,7 @@ fn drive_conns(pools: &[(SolverId, Vec<Vec<u8>>)], cfg: &DriveConfig) -> io::Res
             }
             while c.sent < c.assigned && c.sent - c.recvd < PIPELINE_DEPTH {
                 c.wq.push_frame(payloads[issued % payloads.len()].clone());
-                c.sent_at.push_back(Instant::now());
+                c.sent_at.push_back((Instant::now(), issued % payloads.len()));
                 c.sent += 1;
                 issued += 1;
             }
@@ -621,8 +631,10 @@ fn drive_conns(pools: &[(SolverId, Vec<Vec<u8>>)], cfg: &DriveConfig) -> io::Res
                     }
                 }
                 while let Some(frame) = c.fsm.next_frame() {
-                    let queued_at = c.sent_at.pop_front().unwrap_or_else(Instant::now);
-                    settle_reply(&frame, queued_at, &mut report);
+                    // A reply with nothing in flight is checked against
+                    // request 0 (and fails its check) instead of panicking.
+                    let sent = c.sent_at.pop_front().unwrap_or_else(|| (Instant::now(), 0));
+                    settle_reply(&frame, sent, &mut report);
                     c.recvd += 1;
                 }
             }
@@ -707,6 +719,35 @@ mod tests {
         };
         for blob in synthesize(&spec) {
             canon::decode_sc(&blob).expect("valid SC blob");
+        }
+    }
+
+    #[test]
+    fn a_flipped_cover_bit_or_an_inflated_weight_is_not_certified() {
+        for solver in [SolverId::VC_PN, SolverId::SET_COVER] {
+            let spec = WorkloadSpec {
+                solver,
+                family: FamilyKind::Gnp,
+                n: 12,
+                degree: 3,
+                instances: 1,
+                weights: WeightSpec::Uniform(9),
+                seed: 4,
+            };
+            let blob = &synthesize(&spec)[0];
+            let desc = solver.descriptor();
+            let (cover, certificate, trace) =
+                (desc.solve)(desc, blob, crate::wire::ExecMode::Sync).expect("solves");
+            let honest = Solved { from_cache: false, cover, certificate, trace };
+            assert!(instance_certified(blob, &honest), "{}", desc.name);
+            for v in 0..honest.cover.len() {
+                let mut flipped = honest.clone();
+                flipped.cover[v] = !flipped.cover[v];
+                assert!(!instance_certified(blob, &flipped), "{} bit {v}", desc.name);
+            }
+            let mut inflated = honest.clone();
+            inflated.certificate.cover_weight += 1;
+            assert!(!instance_certified(blob, &inflated), "{} inflated weight", desc.name);
         }
     }
 }

@@ -34,7 +34,7 @@
 use crate::wire::{ExecMode, Scenario, WireTrace};
 use anonet_baselines::bchs::run_bchs;
 use anonet_baselines::kvy_eps::run_kvy;
-use anonet_baselines::ps3::{half_matching_packing, run_ps3_scratch, PsNode};
+use anonet_baselines::ps3::{half_matching_packing, run_ps3};
 use anonet_bigmath::{AutoRat, BigRat};
 use anonet_core::canon;
 use anonet_core::certify::{
@@ -42,12 +42,13 @@ use anonet_core::certify::{
     CertifyError,
 };
 use anonet_core::packing::EdgePacking;
-use anonet_core::sc_bcast::{run_fractional_packing_scratch, ScNode};
-use anonet_core::vc_bcast::{run_vc_broadcast_scratch, VcBcastNode};
-use anonet_core::vc_pn::{fold_vc_outputs, run_edge_packing_scratch, EdgePackingNode, VcConfig};
-use anonet_runtime::{run_async_pn, scenario, AsyncTrace, NetworkConfig};
-use anonet_sim::{Broadcast, EngineScratch, PortNumbering, SimError, Trace};
-use std::cell::RefCell;
+use anonet_core::sc_bcast::{run_fractional_packing, ScInstance};
+use anonet_core::vc_bcast::run_vc_broadcast;
+use anonet_core::vc_pn::{
+    fold_vc_outputs, run_edge_packing, EdgePackingNode, VcConfig, VcInstance,
+};
+use anonet_runtime::{run_async_engine, scenario, AsyncTrace, NetworkConfig};
+use anonet_sim::{EngineOptions, PortNumbering, SimError, Trace};
 
 /// A solver's stable wire identifier — the byte after the message header in
 /// a solve request. Only ids present in the registry are constructible, so a
@@ -288,21 +289,6 @@ fn widen_cert(c: Certificate<AutoRat>) -> Certificate<BigRat> {
     }
 }
 
-// One engine scratch per thread and engine-driven solver: `execute` calls
-// `solve` once per instance on the service worker or its pool threads, so
-// every run after a thread's first reuses the previous engine's allocations
-// (results are bit-identical to a fresh scratch).
-thread_local! {
-    static PN_SCRATCH: RefCell<EngineScratch<EdgePackingNode<AutoRat>, PortNumbering>> =
-        RefCell::new(EngineScratch::new());
-    static VC_BCAST_SCRATCH: RefCell<EngineScratch<VcBcastNode<AutoRat>, Broadcast>> =
-        RefCell::new(EngineScratch::new());
-    static SC_SCRATCH: RefCell<EngineScratch<ScNode<AutoRat>, Broadcast>> =
-        RefCell::new(EngineScratch::new());
-    static PS3_SCRATCH: RefCell<EngineScratch<PsNode, PortNumbering>> =
-        RefCell::new(EngineScratch::new());
-}
-
 fn execution_failed(e: SimError) -> String {
     format!("execution failed: {e}")
 }
@@ -321,6 +307,11 @@ fn decode_vc(desc: &SolverDescriptor, blob: &[u8]) -> Result<canon::OwnedVcInsta
         }
     }
     Ok(d)
+}
+
+/// The engine-facing view of a decoded VC blob, with its declared bounds.
+fn vc_instance(d: &canon::OwnedVcInstance) -> VcInstance<'_> {
+    VcInstance::with_bounds(&d.graph, &d.weights, d.delta, d.max_weight)
 }
 
 /// Certifies a vertex cover at the row's rational factor (see the module
@@ -348,16 +339,13 @@ fn solve_vc_pn(desc: &SolverDescriptor, blob: &[u8], mode: ExecMode) -> Result<S
     let d = decode_vc(desc, blob)?;
     let (cover, packing, trace) = match mode {
         ExecMode::Sync => {
-            let run = PN_SCRATCH
-                .with_borrow_mut(|s| {
-                    run_edge_packing_scratch(&d.graph, &d.weights, d.delta, d.max_weight, 1, s)
-                })
+            let run = run_edge_packing(vc_instance(&d), EngineOptions::default())
                 .map_err(execution_failed)?;
             (run.cover, run.packing, sync_trace(&run.trace))
         }
         ExecMode::Async(s, seed) => {
             let cfg = VcConfig::new(d.delta, d.max_weight);
-            let res = run_async_pn::<EdgePackingNode<AutoRat>>(
+            let res = run_async_engine::<EdgePackingNode<AutoRat>, PortNumbering>(
                 &d.graph,
                 &cfg,
                 &d.weights,
@@ -376,10 +364,7 @@ fn solve_vc_pn(desc: &SolverDescriptor, blob: &[u8], mode: ExecMode) -> Result<S
 
 fn solve_vc_bcast(desc: &SolverDescriptor, blob: &[u8], _: ExecMode) -> Result<Solution, String> {
     let d = decode_vc(desc, blob)?;
-    let run = VC_BCAST_SCRATCH
-        .with_borrow_mut(|s| {
-            run_vc_broadcast_scratch(&d.graph, &d.weights, d.delta, d.max_weight, 1, s)
-        })
+    let run = run_vc_broadcast::<AutoRat>(vc_instance(&d), EngineOptions::default())
         .map_err(execution_failed)?;
     // §5 outputs do not carry the full packing; the maximality witness is
     // `all_saturated` (Theorem 2) and the cover + ratio bound are checked
@@ -399,9 +384,8 @@ fn solve_vc_bcast(desc: &SolverDescriptor, blob: &[u8], _: ExecMode) -> Result<S
 
 fn solve_set_cover(_: &SolverDescriptor, blob: &[u8], _: ExecMode) -> Result<Solution, String> {
     let d = canon::decode_sc(blob).map_err(|e| e.to_string())?;
-    let run = SC_SCRATCH
-        .with_borrow_mut(|s| run_fractional_packing_scratch(&d.inst, d.f, d.k, d.max_weight, 1, s))
-        .map_err(execution_failed)?;
+    let inst = ScInstance::with_bounds(&d.inst, d.f, d.k, d.max_weight);
+    let run = run_fractional_packing(inst, EngineOptions::default()).map_err(execution_failed)?;
     let cert =
         certify_set_cover(&d.inst, &run.packing, &run.cover).map_err(certification_failed)?;
     Ok((run.cover, widen_cert(cert), sync_trace(&run.trace)))
@@ -409,9 +393,7 @@ fn solve_set_cover(_: &SolverDescriptor, blob: &[u8], _: ExecMode) -> Result<Sol
 
 fn solve_vc_ps3(desc: &SolverDescriptor, blob: &[u8], _: ExecMode) -> Result<Solution, String> {
     let d = decode_vc(desc, blob)?;
-    let run = PS3_SCRATCH
-        .with_borrow_mut(|s| run_ps3_scratch(&d.graph, d.delta, s))
-        .map_err(execution_failed)?;
+    let run = run_ps3(&d.graph, d.delta).map_err(execution_failed)?;
     let packing = half_matching_packing::<AutoRat>(&d.graph, &run.roles);
     certify_rational(desc, &d, run.cover, &packing, &run.trace)
 }

@@ -35,7 +35,7 @@ use crate::wire::{
 use anonet_core::canon::ByteReader;
 use anonet_obs::clock::{unix_millis, Stopwatch};
 use anonet_obs::MetricValue;
-use anonet_sim::pool as sim_pool;
+use anonet_sim::pool::fan_out;
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -88,9 +88,11 @@ pub struct ServiceConfig {
     pub threads_per_job: usize,
     /// Backoff hint carried in `Busy` responses, in milliseconds.
     pub retry_after_ms: u32,
-    /// Maximum live connections (one thread each); connections accepted
-    /// beyond the cap are closed immediately, shedding load at the door
-    /// instead of pinning an unbounded number of threads.
+    /// Maximum live connections, under either connection model;
+    /// connections accepted beyond the cap are closed immediately, shedding
+    /// load at the door. Under [`ConnModel::Threads`] each connection holds
+    /// one thread, so the cap also bounds the thread count; the reactor
+    /// enforces the same cap with no thread per connection.
     pub max_conns: usize,
     /// Idle timeout per connection, in milliseconds (`0` disables it).
     /// Without one, `max_conns` stalled peers that never send a byte would
@@ -385,17 +387,14 @@ fn execute(shared: &Shared, req: &SolveRequest, rec: &mut RequestRecord) -> Vec<
 
     // Every missing instance's decode → solve → certify → encode pipeline is
     // independent and per-seed deterministic, so fan them across the job's
-    // pool width. The pool threads persist per service worker (a
-    // thread-local `RoundPool` cached at the machine-derived width), so
-    // repeated requests pay no thread spawns.
+    // width. The pool threads persist per service worker, and each engine
+    // run reuses its thread's parked scratch, so repeated requests pay no
+    // thread spawns and, once warm, no engine allocations.
     let missing: Vec<usize> = (0..k).filter(|&i| outcomes[i].is_none()).collect();
-    let width = sim_pool::clamp_width(sim_pool::resolve_threads(shared.cfg.threads_per_job));
-    let computed = sim_pool::with_local_pool(width, |p| {
-        p.map(missing.clone(), |_, i| {
-            let (cover, cert, trace) = (desc.solve)(desc, &req.instances[i], req.mode)?;
-            shared.telemetry.record_solve_trace(trace.rounds, trace.bits);
-            Ok((false, wire::encode_solved_body(&cover, &cert, &trace)))
-        })
+    let computed = fan_out(shared.cfg.threads_per_job, missing.clone(), |_, i| {
+        let (cover, cert, trace) = (desc.solve)(desc, &req.instances[i], req.mode)?;
+        shared.telemetry.record_solve_trace(trace.rounds, trace.bits);
+        Ok((false, wire::encode_solved_body(&cover, &cert, &trace)))
     });
     if use_cache {
         let mut cache = shared.lock_cache();

@@ -1,7 +1,7 @@
 //! Loopback integration tests: a real server on 127.0.0.1, real TCP
 //! clients, and the acceptance criteria of the service layer:
 //!
-//! 1. responses are **bit-identical** to direct `BatchRunner`-backed runs of
+//! 1. responses are **bit-identical** to direct runs (`run_edge_packing_many`) of
 //!    the same instances (cover, certificate, trace);
 //! 2. every VC response carries a certificate verifying ≤ 2·OPT (checked
 //!    against the exact solver on small instances);
@@ -11,7 +11,7 @@
 use anonet_bigmath::BigRat;
 use anonet_core::canon;
 use anonet_core::sc_bcast::{run_fractional_packing_many_with, ScInstance};
-use anonet_core::vc_bcast::run_vc_broadcast_many;
+use anonet_core::vc_bcast::run_vc_broadcast;
 use anonet_core::vc_pn::{run_edge_packing_many, VcInstance};
 use anonet_exact::min_weight_vertex_cover;
 use anonet_gen::{family, setcover, WeightSpec};
@@ -19,6 +19,7 @@ use anonet_service::{
     client, wire, Client, InstanceResult, Scenario, Server, ServiceConfig, SolveRequest,
     SolveResponse, Solved, SolverId,
 };
+use anonet_sim::EngineOptions;
 use std::time::Duration;
 
 fn start(cfg: ServiceConfig) -> Server {
@@ -56,7 +57,7 @@ fn vc_pn_bit_identical_certified_and_cached() {
     let got = solved(&resp);
     assert_eq!(got.len(), cases.len());
 
-    // Bit-identical to the direct batch run (same BatchRunner pool width).
+    // Bit-identical to the direct fanned-out run at the same width.
     let direct = run_edge_packing_many::<BigRat>(&instances, 2);
     for (i, (s, run)) in got.iter().zip(&direct).enumerate() {
         let run = run.as_ref().unwrap();
@@ -125,8 +126,7 @@ fn vc_bcast_and_set_cover_loopback() {
     let instances = [VcInstance::new(&g, &w)];
     let resp = c.solve(&client::vc_request(SolverId::VC_BCAST, &instances)).unwrap();
     let got = solved(&resp);
-    let direct = run_vc_broadcast_many::<BigRat>(&instances, 1);
-    let run = direct[0].as_ref().unwrap();
+    let run = run_vc_broadcast::<BigRat>(instances[0], EngineOptions::default()).unwrap();
     assert_eq!(got[0].cover, run.cover);
     assert_eq!(got[0].certificate.dual_value, run.dual_value);
     assert_eq!(got[0].trace.rounds, run.trace.rounds);

@@ -1,10 +1,14 @@
 //! Portfolio-wide integration tests: wire backward compatibility for the
 //! legacy problem bytes, structured rejection of unknown solver ids in both
 //! connection models, and cross-validation of every registered solver
-//! against the exact branch-and-bound optimum.
+//! against the exact branch-and-bound optimum and, for the fixed-schedule
+//! solvers, against their exact round counts.
 
+use anonet_baselines::ps3::PsConfig;
 use anonet_core::canon::{certificate_bound_holds, ByteReader};
-use anonet_core::vc_pn::VcInstance;
+use anonet_core::sc_bcast::ScConfig;
+use anonet_core::vc_bcast::VcBcastConfig;
+use anonet_core::vc_pn::{VcConfig, VcInstance};
 use anonet_exact::{is_vertex_cover, min_weight_set_cover, min_weight_vertex_cover};
 use anonet_gen::{family, setcover, WeightSpec};
 use anonet_service::portfolio::{self, InstanceKind};
@@ -207,6 +211,19 @@ fn portfolio_cross_validation_against_exact() {
                     let opt = min_weight_vertex_cover(g, &w).weight;
                     let cover_w: u64 = (0..g.n()).filter(|&v| s.cover[v]).map(|v| w[v]).sum();
                     assert_eq!(cover_w, s.certificate.cover_weight, "{}/{fam}", desc.name);
+                    // The paper's schedules (and PS3's) are fixed by Δ and W:
+                    // the served round count must be exactly that schedule.
+                    let inst = VcInstance::new(g, &w);
+                    let (delta, wmax) = (inst.delta, inst.max_weight);
+                    let schedule = match desc.id {
+                        SolverId::VC_PN => Some(VcConfig::new(delta, wmax).total_rounds()),
+                        SolverId::VC_BCAST => Some(VcBcastConfig::new(delta, wmax).total_rounds()),
+                        SolverId::VC_PS3 => Some(PsConfig { delta: delta.max(1) }.total_rounds()),
+                        _ => None, // KVY and BCHS stop when the data says so
+                    };
+                    if let Some(rounds) = schedule {
+                        assert_eq!(s.trace.rounds, rounds, "{}/{fam}: round count", desc.name);
+                    }
                     assert!(
                         (cover_w as u128) * (desc.factor_den as u128)
                             <= (desc.factor_num as u128) * (opt as u128),
@@ -233,6 +250,15 @@ fn portfolio_cross_validation_against_exact() {
                         desc.name
                     );
                     assert!(certificate_bound_holds(&s.certificate), "{}/{fam}", desc.name);
+                    assert_eq!(
+                        inst.cover_weight(&s.cover),
+                        s.certificate.cover_weight,
+                        "{}/{fam}",
+                        desc.name
+                    );
+                    let (f, k, wmax) = (inst.f().max(1), inst.k().max(1), inst.max_weight().max(1));
+                    let rounds = ScConfig::new(f, k, wmax).total_rounds();
+                    assert_eq!(s.trace.rounds, rounds, "{}/{fam}: round count", desc.name);
                     let opt = min_weight_set_cover(inst).weight;
                     assert!(
                         (s.certificate.cover_weight as u128)

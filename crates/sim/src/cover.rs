@@ -108,7 +108,8 @@ pub fn check_lift_outputs<O: PartialEq>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::run_pn;
+    use crate::delivery::PortNumbering;
+    use crate::engine::{run_engine, EngineOptions};
     use crate::model::PnAlgorithm;
 
     fn cycle(n: usize) -> Graph {
@@ -171,10 +172,19 @@ mod tests {
 
     #[test]
     fn outputs_lift_fibrewise() {
+        let opts = EngineOptions::default();
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)]).unwrap();
         let l = lift(&g, 3, 7);
-        let base = run_pn::<DegreeEcho>(&g, &(), &vec![0u64; g.n()], 5).unwrap();
-        let lifted = run_pn::<DegreeEcho>(&l.graph, &(), &vec![0u64; l.graph.n()], 5).unwrap();
+        let base =
+            run_engine::<DegreeEcho, PortNumbering>(&g, &(), &vec![0u64; g.n()], 5, opts).unwrap();
+        let lifted = run_engine::<DegreeEcho, PortNumbering>(
+            &l.graph,
+            &(),
+            &vec![0u64; l.graph.n()],
+            5,
+            opts,
+        )
+        .unwrap();
         assert_eq!(check_lift_outputs(&l, &base.outputs, &lifted.outputs), None);
     }
 }

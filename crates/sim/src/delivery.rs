@@ -55,9 +55,9 @@ use std::ops::Range;
 /// message buffer: `ranks[slot]` is the dense rank of `buf[slot]`'s value
 /// among the round's distinct message values (rank order = value order),
 /// and `reps[rank]` is one representative slot holding that value. All
-/// storage is recycled across rounds and engine runs (via
-/// [`EngineScratch`](crate::engine::EngineScratch)) — steady-state rounds
-/// allocate nothing.
+/// storage is recycled across rounds and engine runs (via the per-thread
+/// scratch [`run_engine`](crate::engine::run_engine) parks) — steady-state
+/// rounds allocate nothing.
 #[derive(Debug, Default)]
 pub struct CanonTable {
     /// Slot indices `0..buf.len()` sorted by message value (build scratch).

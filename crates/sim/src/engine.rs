@@ -9,14 +9,13 @@
 //! is monotone, so the per-range message buffers are disjoint `&mut`
 //! slices — Rayon-style data parallelism with no locks).
 //!
-//! **Pool lifecycle**: the pool is spawned once, in
-//! [`Engine::with_options`] / [`Engine::with_scratch`] (never inside
-//! [`Engine::step`] — per-round thread spawns were the multithreaded
-//! slowdown), parked between rounds, reused across rounds, and handed back
-//! through [`Engine::finish_scratch`] so it also survives across engine
-//! constructions that share an [`EngineScratch`]. `threads: 0` means auto;
-//! the spawned worker width is capped at the machine's available
-//! parallelism (see [`crate::pool`]).
+//! **Pool lifecycle**: the pool is spawned once, when the engine is built
+//! (never inside [`Engine::step`] — per-round thread spawns were the
+//! multithreaded slowdown), parked between rounds and reused across rounds.
+//! [`run_engine`] parks it, with every other engine allocation, in a
+//! per-thread scratch table keyed by the `(A, D)` type, so it also survives
+//! across runs. `threads: 0` means auto; the spawned worker width is capped
+//! at the machine's available parallelism (see [`crate::pool`]).
 //!
 //! **Partition invariants**: the sweep list is split into at most
 //! `threads` contiguous ranges balanced by **slot/arc weight**
@@ -80,8 +79,10 @@
 
 use crate::delivery::{Broadcast, CanonTable, Delivery, GatherScratch, PortNumbering};
 use crate::graph::Graph;
-use crate::model::{BcastAlgorithm, MessageSize, PnAlgorithm};
+use crate::model::MessageSize;
 use crate::pool::{self, RoundPool};
+use std::any::{Any, TypeId};
+use std::cell::RefCell;
 use std::fmt;
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -133,8 +134,8 @@ pub struct RoundStats {
 
 /// Per-round engine instrumentation hook.
 ///
-/// Attached with [`Engine::set_observer`] or the [`run_engine_observed`]
-/// wrapper; the default is no observer, which costs one branch per round.
+/// Attached with [`Engine::set_observer`]; the default is no observer,
+/// which costs one branch per round.
 /// The observer runs on the engine's calling thread, after the round's
 /// receive barrier, so it never races the parallel sweep phases.
 pub trait RoundObserver {
@@ -230,14 +231,14 @@ impl EngineOptions {
 ///
 /// A short run (a few rounds on a small graph) spends a measurable share of
 /// its time allocating the per-node state, output, message-slot and sweep
-/// vectors. Callers that construct engines in a loop — the batch pool, the
-/// service layer, micro-benchmarks — keep one `EngineScratch` per worker and
-/// go through [`Engine::with_scratch`] / [`Engine::finish_scratch`] (or the
-/// [`run_engine_scratch`] wrapper): every internal vector is recycled across
-/// constructions, so steady-state construction allocates nothing once the
-/// high-water graph size has been seen. Results are bit-identical to the
-/// non-reusing path (the vectors are fully cleared and refilled).
-pub struct EngineScratch<A, D: Delivery<A>> {
+/// vectors — and the paper's programs finish in rounds fixed by Δ and W, so
+/// every caller makes many short runs. [`run_engine`] therefore takes one
+/// scratch per `(A, D)` type from this thread's table ([`SCRATCH`]) and puts
+/// it back after the run: every internal vector is recycled across runs, so
+/// steady-state construction allocates nothing once the high-water graph
+/// size has been seen. Results are bit-identical to fresh allocations (the
+/// vectors are fully cleared and refilled).
+struct EngineScratch<A, D: Delivery<A>> {
     states: Vec<A>,
     outputs: Vec<Option<D::Output>>,
     buf: Vec<D::Msg>,
@@ -249,9 +250,9 @@ pub struct EngineScratch<A, D: Delivery<A>> {
     parts: Vec<Range<usize>>,
     node_spans: Vec<Range<usize>>,
     buf_spans: Vec<Range<usize>>,
-    /// The persistent round-worker pool, parked here between engine
-    /// constructions so its threads are spawned once per scratch, not once
-    /// per run (let alone once per round).
+    /// The persistent round-worker pool, parked here between runs so its
+    /// threads are spawned once per thread and type, not once per run (let
+    /// alone once per round).
     pool: Option<RoundPool>,
 }
 
@@ -274,6 +275,39 @@ impl<A, D: Delivery<A>> Default for EngineScratch<A, D> {
     }
 }
 
+thread_local! {
+    /// This thread's parked scratches, at most one per `(A, D)` type. A
+    /// `Vec` scanned linearly rather than a map: a thread runs a handful of
+    /// algorithm types, and the crate's determinism rule keeps hashed
+    /// containers out.
+    static SCRATCH: RefCell<Vec<(TypeId, Box<dyn Any>)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Takes this thread's parked scratch for `(A, D)`, or an empty one. The
+/// entry leaves the table while a run holds it, so a nested run of the same
+/// type (or a run that panics) simply starts from an empty scratch.
+fn take_scratch<A: 'static, D: Delivery<A> + 'static>() -> Box<EngineScratch<A, D>> {
+    let key = TypeId::of::<EngineScratch<A, D>>();
+    let parked = SCRATCH.try_with(|table| {
+        let mut table = table.borrow_mut();
+        let i = table.iter().position(|(k, _)| *k == key)?;
+        Some(table.swap_remove(i).1)
+    });
+    parked.ok().flatten().and_then(|s| s.downcast().ok()).unwrap_or_default()
+}
+
+/// Parks `scratch` for the next run of `(A, D)` on this thread.
+fn park_scratch<A: 'static, D: Delivery<A> + 'static>(scratch: Box<EngineScratch<A, D>>) {
+    let key = TypeId::of::<EngineScratch<A, D>>();
+    // try_with: during thread teardown the slot may already be gone.
+    let _ = SCRATCH.try_with(|table| {
+        let mut table = table.borrow_mut();
+        if table.iter().all(|(k, _)| *k != key) {
+            table.push((key, scratch));
+        }
+    });
+}
+
 /// Per-part persistent scratch for the receive phase: the part's
 /// newly-halted list and its [`GatherScratch`] rank/count tables. One per
 /// partition, recycled across rounds and engine constructions, so the
@@ -282,13 +316,6 @@ impl<A, D: Delivery<A>> Default for EngineScratch<A, D> {
 struct PartArena {
     newly: Vec<u32>,
     gs: GatherScratch,
-}
-
-impl<A, D: Delivery<A>> EngineScratch<A, D> {
-    /// An empty scratch (allocates nothing until first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// Splits `0..n` into at most `parts` contiguous non-empty ranges whose
@@ -385,9 +412,8 @@ fn receive_node<'b, A, D: Delivery<A>>(
 /// An in-flight synchronous execution: the one round core, generic over the
 /// delivery model `D`.
 ///
-/// [`Engine::step`] advances one synchronous round; [`run_pn`] /
-/// [`run_bcast`] (and the generic [`run_engine`]) are run-to-completion
-/// convenience wrappers. Use [`PnEngine`] / [`BcastEngine`] to name the two
+/// [`Engine::step`] advances one synchronous round; [`run_engine`] runs to
+/// completion. Use [`PnEngine`] / [`BcastEngine`] to name the two
 /// instantiations.
 pub struct Engine<'a, A, D: Delivery<A>> {
     graph: &'a Graph,
@@ -459,13 +485,12 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
         inputs: &[D::Input],
         opts: EngineOptions,
     ) -> Result<Self, SimError> {
-        Self::with_scratch(graph, cfg, inputs, opts, &mut EngineScratch::new())
+        Self::with_scratch(graph, cfg, inputs, opts, &mut EngineScratch::default())
     }
 
     /// Initialises every node, recycling the allocations held by `scratch`
-    /// (which is left empty; [`Engine::finish_scratch`] refills it). See
-    /// [`EngineScratch`] for when this pays off.
-    pub fn with_scratch(
+    /// (which is left empty; [`Engine::finish_scratch`] refills it).
+    fn with_scratch(
         graph: &'a Graph,
         cfg: &'a D::Config,
         inputs: &[D::Input],
@@ -909,10 +934,7 @@ impl<'a, A: Send + Sync, D: Delivery<A>> Engine<'a, A, D> {
     /// Consumes the engine, recycling **every** internal allocation into
     /// `scratch` and returning the outputs if all nodes have halted (`None`
     /// otherwise — allocations are recycled either way).
-    pub fn finish_scratch(
-        mut self,
-        scratch: &mut EngineScratch<A, D>,
-    ) -> Option<RunResult<D::Output>> {
+    fn finish_scratch(mut self, scratch: &mut EngineScratch<A, D>) -> Option<RunResult<D::Output>> {
         let result = (self.halted == self.graph.n()).then(|| RunResult {
             outputs: self.outputs.drain(..).map(|o| o.expect("halted")).collect(),
             trace: self.trace.clone(),
@@ -953,112 +975,38 @@ pub type PnEngine<'a, A> = Engine<'a, A, PortNumbering>;
 /// as a canonically sorted multiset.
 pub type BcastEngine<'a, A> = Engine<'a, A, Broadcast>;
 
-/// Runs an algorithm to completion under delivery model `D` with explicit
-/// [`EngineOptions`] — the generic core behind [`run_pn`] / [`run_bcast`].
-pub fn run_engine<A: Send + Sync, D: Delivery<A>>(
+/// Runs an algorithm to completion under delivery model `D` — the one run
+/// entry of the synchronous engine. `opts` is the execution context (worker
+/// threads, frontier skipping); allocation reuse is not a caller's choice:
+/// the run borrows this thread's parked scratch for `(A, D)` and parks it
+/// again afterwards, so repeated short runs allocate nothing once warm.
+/// Results are bit-identical to a run on fresh allocations.
+pub fn run_engine<A: Send + Sync + 'static, D: Delivery<A> + 'static>(
     graph: &Graph,
     cfg: &D::Config,
     inputs: &[D::Input],
     max_rounds: u64,
     opts: EngineOptions,
 ) -> Result<RunResult<D::Output>, SimError> {
-    run_engine_scratch::<A, D>(graph, cfg, inputs, max_rounds, opts, &mut EngineScratch::new())
-}
-
-/// [`run_engine`] with allocation reuse: the engine's internal vectors are
-/// taken from and returned to `scratch`, so repeated short runs through the
-/// same scratch allocate nothing once warm. Results are bit-identical to
-/// [`run_engine`].
-pub fn run_engine_scratch<A: Send + Sync, D: Delivery<A>>(
-    graph: &Graph,
-    cfg: &D::Config,
-    inputs: &[D::Input],
-    max_rounds: u64,
-    opts: EngineOptions,
-    scratch: &mut EngineScratch<A, D>,
-) -> Result<RunResult<D::Output>, SimError> {
-    let mut engine = Engine::<A, D>::with_scratch(graph, cfg, inputs, opts, scratch)?;
-    for _ in 0..max_rounds {
-        if engine.step() {
-            return Ok(engine.finish_scratch(scratch).expect("all halted"));
-        }
-    }
-    let halted = engine.halted();
-    engine.finish_scratch(scratch);
-    Err(SimError::RoundLimit { limit: max_rounds, halted, n: graph.n() })
-}
-
-/// [`run_engine_scratch`] with a [`RoundObserver`] attached for the whole
-/// run. Outputs and [`Trace`] are bit-identical to the unobserved run — the
-/// observer only *reads* per-round statistics.
-pub fn run_engine_observed<A: Send + Sync, D: Delivery<A>>(
-    graph: &Graph,
-    cfg: &D::Config,
-    inputs: &[D::Input],
-    max_rounds: u64,
-    opts: EngineOptions,
-    scratch: &mut EngineScratch<A, D>,
-    observer: &mut dyn RoundObserver,
-) -> Result<RunResult<D::Output>, SimError> {
-    let mut engine = Engine::<A, D>::with_scratch(graph, cfg, inputs, opts, scratch)?;
-    engine.set_observer(observer);
-    for _ in 0..max_rounds {
-        if engine.step() {
-            return Ok(engine.finish_scratch(scratch).expect("all halted"));
-        }
-    }
-    let halted = engine.halted();
-    engine.finish_scratch(scratch);
-    Err(SimError::RoundLimit { limit: max_rounds, halted, n: graph.n() })
-}
-
-/// Runs a port-numbering algorithm to completion.
-pub fn run_pn<A: PnAlgorithm>(
-    graph: &Graph,
-    cfg: &A::Config,
-    inputs: &[A::Input],
-    max_rounds: u64,
-) -> Result<RunResult<A::Output>, SimError> {
-    run_engine::<A, PortNumbering>(graph, cfg, inputs, max_rounds, EngineOptions::default())
-}
-
-/// Runs a port-numbering algorithm to completion on `threads` threads
-/// (`0` = auto: the machine's available parallelism).
-pub fn run_pn_threads<A: PnAlgorithm>(
-    graph: &Graph,
-    cfg: &A::Config,
-    inputs: &[A::Input],
-    max_rounds: u64,
-    threads: usize,
-) -> Result<RunResult<A::Output>, SimError> {
-    run_engine::<A, PortNumbering>(graph, cfg, inputs, max_rounds, EngineOptions::threads(threads))
-}
-
-/// Runs a broadcast algorithm to completion.
-pub fn run_bcast<A: BcastAlgorithm>(
-    graph: &Graph,
-    cfg: &A::Config,
-    inputs: &[A::Input],
-    max_rounds: u64,
-) -> Result<RunResult<A::Output>, SimError> {
-    run_engine::<A, Broadcast>(graph, cfg, inputs, max_rounds, EngineOptions::default())
-}
-
-/// Runs a broadcast algorithm to completion on `threads` threads
-/// (`0` = auto: the machine's available parallelism).
-pub fn run_bcast_threads<A: BcastAlgorithm>(
-    graph: &Graph,
-    cfg: &A::Config,
-    inputs: &[A::Input],
-    max_rounds: u64,
-    threads: usize,
-) -> Result<RunResult<A::Output>, SimError> {
-    run_engine::<A, Broadcast>(graph, cfg, inputs, max_rounds, EngineOptions::threads(threads))
+    let mut scratch = take_scratch::<A, D>();
+    let res = Engine::<A, D>::with_scratch(graph, cfg, inputs, opts, &mut scratch).and_then(
+        |mut engine| {
+            let done = (0..max_rounds).any(|_| engine.step());
+            let halted = engine.halted();
+            match engine.finish_scratch(&mut scratch) {
+                Some(res) if done => Ok(res),
+                _ => Err(SimError::RoundLimit { limit: max_rounds, halted, n: graph.n() }),
+            }
+        },
+    );
+    park_scratch(scratch);
+    res
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{BcastAlgorithm, PnAlgorithm};
 
     /// Test algorithm: every node learns the maximum degree within distance
     /// `rounds_budget` and halts; messages carry the best value seen.
@@ -1096,9 +1044,10 @@ mod tests {
 
     #[test]
     fn probe_converges_on_star() {
+        let opts = EngineOptions::default();
         let g = star(5);
         let inputs = vec![(); 6];
-        let res = run_pn::<MaxDegreeProbe>(&g, &2, &inputs, 10).unwrap();
+        let res = run_engine::<MaxDegreeProbe, PortNumbering>(&g, &2, &inputs, 10, opts).unwrap();
         assert_eq!(res.outputs, vec![5; 6]);
         assert_eq!(res.trace.rounds, 2);
         assert_eq!(res.trace.messages, 2 * g.arcs() as u64);
@@ -1106,29 +1055,41 @@ mod tests {
 
     #[test]
     fn round_limit_error() {
+        let opts = EngineOptions::default();
         let g = star(3);
         let inputs = vec![(); 4];
-        let err = run_pn::<MaxDegreeProbe>(&g, &5, &inputs, 3).unwrap_err();
+        let err =
+            run_engine::<MaxDegreeProbe, PortNumbering>(&g, &5, &inputs, 3, opts).unwrap_err();
         assert_eq!(err, SimError::RoundLimit { limit: 3, halted: 0, n: 4 });
     }
 
     #[test]
     fn input_length_error() {
+        let opts = EngineOptions::default();
         let g = star(3);
-        let err = run_pn::<MaxDegreeProbe>(&g, &1, &[(), ()], 3).unwrap_err();
+        let err =
+            run_engine::<MaxDegreeProbe, PortNumbering>(&g, &1, &[(), ()], 3, opts).unwrap_err();
         assert_eq!(err, SimError::InputLength { got: 2, want: 4 });
     }
 
     #[test]
     fn parallel_matches_sequential_pn() {
+        let opts = EngineOptions::default();
         // A graph big enough to exercise several chunks.
         let n = 257;
         let edges: Vec<(usize, usize)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
         let g = Graph::from_edges(n, &edges).unwrap();
         let inputs = vec![(); n];
-        let seq = run_pn::<MaxDegreeProbe>(&g, &7, &inputs, 100).unwrap();
+        let seq = run_engine::<MaxDegreeProbe, PortNumbering>(&g, &7, &inputs, 100, opts).unwrap();
         for t in [2, 3, 8] {
-            let par = run_pn_threads::<MaxDegreeProbe>(&g, &7, &inputs, 100, t).unwrap();
+            let par = run_engine::<MaxDegreeProbe, PortNumbering>(
+                &g,
+                &7,
+                &inputs,
+                100,
+                EngineOptions::threads(t),
+            )
+            .unwrap();
             assert_eq!(par.outputs, seq.outputs, "threads={t}");
             assert_eq!(par.trace, seq.trace, "threads={t}");
         }
@@ -1233,16 +1194,10 @@ mod tests {
         for frontier_skipping in [false, true] {
             let mut tally = Tally::default();
             let opts = EngineOptions { threads: 1, frontier_skipping };
-            let res = run_engine_observed::<Staggered, PortNumbering>(
-                &g,
-                &(),
-                &inputs,
-                20,
-                opts,
-                &mut EngineScratch::new(),
-                &mut tally,
-            )
-            .unwrap();
+            let mut engine = PnEngine::<Staggered>::with_options(&g, &(), &inputs, opts).unwrap();
+            engine.set_observer(&mut tally);
+            while !engine.step() {}
+            let res = engine.finish().ok().expect("halted");
             // The observer never perturbs the run.
             assert_eq!(res.outputs, base.outputs, "skip={frontier_skipping}");
             assert_eq!(res.trace, base.trace, "skip={frontier_skipping}");
@@ -1306,7 +1261,9 @@ mod tests {
     fn broadcast_delivers_sorted_multiset() {
         // Path 0-1-2 plus leaf 3 on node 1: node 1 has degree 3.
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (1, 3)]).unwrap();
-        let res = run_bcast::<DegreeCensus>(&g, &(), &[(); 4], 5).unwrap();
+        let res =
+            run_engine::<DegreeCensus, Broadcast>(&g, &(), &[(); 4], 5, EngineOptions::default())
+                .unwrap();
         assert_eq!(res.outputs[0], vec![3]);
         assert_eq!(res.outputs[1], vec![1, 1, 1]);
         assert_eq!(res.outputs[2], vec![3]);
@@ -1318,8 +1275,12 @@ mod tests {
         // Regardless of port order, the received multiset is identical.
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (1, 3)]).unwrap();
         let r = g.reorder_ports(|_, old| old.iter().rev().copied().collect());
-        let a = run_bcast::<DegreeCensus>(&g, &(), &[(); 4], 5).unwrap();
-        let b = run_bcast::<DegreeCensus>(&r, &(), &[(); 4], 5).unwrap();
+        let a =
+            run_engine::<DegreeCensus, Broadcast>(&g, &(), &[(); 4], 5, EngineOptions::default())
+                .unwrap();
+        let b =
+            run_engine::<DegreeCensus, Broadcast>(&r, &(), &[(); 4], 5, EngineOptions::default())
+                .unwrap();
         assert_eq!(a.outputs, b.outputs);
     }
 
@@ -1340,11 +1301,19 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential_bcast() {
+        let opts = EngineOptions::default();
         let n = 128;
         let edges: Vec<(usize, usize)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
         let g = Graph::from_edges(n, &edges).unwrap();
-        let seq = run_bcast::<DegreeCensus>(&g, &(), &vec![(); n], 5).unwrap();
-        let par = run_bcast_threads::<DegreeCensus>(&g, &(), &vec![(); n], 5, 4).unwrap();
+        let seq = run_engine::<DegreeCensus, Broadcast>(&g, &(), &vec![(); n], 5, opts).unwrap();
+        let par = run_engine::<DegreeCensus, Broadcast>(
+            &g,
+            &(),
+            &vec![(); n],
+            5,
+            EngineOptions::threads(4),
+        )
+        .unwrap();
         assert_eq!(seq.outputs, par.outputs);
         assert_eq!(seq.trace, par.trace);
     }
@@ -1443,52 +1412,34 @@ mod tests {
 
     #[test]
     fn scratch_reuse_is_bit_identical() {
-        // Run a sequence of different-sized instances through one scratch;
-        // every result (outputs + trace) matches the fresh-allocation path,
-        // including after a larger instance leaves oversized buffers behind
-        // and on the error path.
-        let mut scratch = EngineScratch::new();
+        // Run a sequence of different-sized instances through this thread's
+        // parked scratch; every result (outputs + trace) matches a stepped
+        // engine on fresh allocations, including after a larger instance
+        // leaves oversized buffers behind and after the error path.
         for n in [64usize, 17, 128, 5, 64] {
             let edges: Vec<(usize, usize)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
             let g = Graph::from_edges(n, &edges).unwrap();
             let inputs: Vec<u64> = (0..n as u64).map(|v| v % 7 + 1).collect();
-            let fresh = run_engine::<Staggered, PortNumbering>(
-                &g,
-                &(),
-                &inputs,
-                20,
-                EngineOptions::default(),
-            )
-            .unwrap();
-            let reused = run_engine_scratch::<Staggered, PortNumbering>(
-                &g,
-                &(),
-                &inputs,
-                20,
-                EngineOptions::default(),
-                &mut scratch,
-            )
-            .unwrap();
+            let mut fresh = PnEngine::<Staggered>::new(&g, &(), &inputs, 1).unwrap();
+            while !fresh.step() {}
+            let fresh = fresh.finish().ok().expect("halted");
+            let opts = EngineOptions::default();
+            let reused =
+                run_engine::<Staggered, PortNumbering>(&g, &(), &inputs, 20, opts).unwrap();
             assert_eq!(reused.outputs, fresh.outputs, "n={n}");
             assert_eq!(reused.trace, fresh.trace, "n={n}");
-            // Error path recycles too and reports identically.
-            let err = run_engine_scratch::<Staggered, PortNumbering>(
-                &g,
-                &(),
-                &inputs,
-                3,
-                EngineOptions::default(),
-                &mut scratch,
-            )
-            .unwrap_err();
+            // The error path parks the scratch too and reports identically.
+            let err =
+                run_engine::<Staggered, PortNumbering>(&g, &(), &inputs, 3, opts).unwrap_err();
             assert!(matches!(err, SimError::RoundLimit { limit: 3, .. }), "n={n}");
         }
     }
 
     #[test]
     fn isolated_nodes_halt() {
+        let opts = EngineOptions::default();
         let g = Graph::from_edges(3, &[]).unwrap();
-        let res = run_pn::<MaxDegreeProbe>(&g, &1, &[(); 3], 2).unwrap();
+        let res = run_engine::<MaxDegreeProbe, PortNumbering>(&g, &1, &[(); 3], 2, opts).unwrap();
         assert_eq!(res.outputs, vec![0, 0, 0]);
     }
 

@@ -16,9 +16,14 @@
 //!   and [`BcastEngine`] are thin typed façades (type aliases) over it, so
 //!   the send/receive phase scaffolding, scoped-thread partitioning,
 //!   instrumentation and the fault-injection hooks exist exactly once;
-//! * [`batch::BatchRunner`] — batched multi-instance execution: many
-//!   independent (graph, config, inputs) instances across one worker pool —
-//!   the "serve many requests" entry point;
+//! * [`run_engine`] — the one run entry: an algorithm type, a delivery
+//!   model, and [`EngineOptions`] (worker threads, frontier skipping) as
+//!   the execution context. It reuses a per-thread, per-type scratch, so
+//!   the many short runs the paper's fixed-round programs make allocate
+//!   nothing once warm;
+//! * [`pool::fan_out`] — many independent instances across one persistent
+//!   worker pool, each run whole on one worker — the "serve many requests"
+//!   entry point;
 //! * [`cover`] — k-fold covering lifts, turning the §7 symmetry theorems into
 //!   executable invariants.
 //!
@@ -35,9 +40,9 @@
 //!
 //! The parallel path fans contiguous node ranges — balanced by arc weight,
 //! so skewed-degree graphs don't serialise behind one part — over a
-//! **persistent** [`pool::RoundPool`] spawned once per engine (or once per
-//! [`EngineScratch`], which parks it between runs) and parked on a barrier
-//! between rounds; the monotone `Delivery::slot_span` keeps each range's
+//! **persistent** [`pool::RoundPool`] spawned once per engine (and, through
+//! [`run_engine`], parked with the per-thread scratch between runs) and
+//! parked on a barrier between rounds; the monotone `Delivery::slot_span` keeps each range's
 //! message slots a disjoint `&mut` slice, and results are bit-identical to
 //! the sequential path. Thread counts resolve through [`pool`]: `0` = auto,
 //! and the spawned worker width is capped at the machine's available
@@ -50,7 +55,6 @@
 #![deny(unsafe_code)] // sole exception: the audited erasure in `pool`
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod bipartite;
 pub mod cover;
 pub mod delivery;
@@ -59,13 +63,11 @@ pub mod graph;
 pub mod model;
 pub mod pool;
 
-pub use batch::{run_bcast_many, run_pn_many, BatchRunner, BcastJob, Job, PnJob};
 pub use bipartite::{SetCoverError, SetCoverInstance};
 pub use delivery::{Broadcast, CanonTable, Delivery, GatherScratch, PortNumbering};
 pub use engine::{
-    run_bcast, run_bcast_threads, run_engine, run_engine_observed, run_engine_scratch, run_pn,
-    run_pn_threads, BcastEngine, Engine, EngineOptions, EngineScratch, NoopObserver, PnEngine,
-    RoundObserver, RoundStats, RunResult, SimError, Trace,
+    run_engine, BcastEngine, Engine, EngineOptions, NoopObserver, PnEngine, RoundObserver,
+    RoundStats, RunResult, SimError, Trace,
 };
 pub use graph::{Graph, GraphError};
 pub use model::{BcastAlgorithm, MessageSize, PnAlgorithm};

@@ -16,11 +16,12 @@
 //! * [`RoundPool::run`] executes one *job* — `f(worker_index)` on every
 //!   worker concurrently — and returns when all of them have finished.
 //!   [`RoundPool::map`] layers task-pulling fan-out on top.
-//! * The engine keeps its pool inside [`EngineScratch`]
-//!   (`Engine::with_scratch` takes it out, `Engine::finish_scratch` puts it
-//!   back), so one pool survives across rounds **and** across engine
-//!   constructions. [`with_local_pool`] offers the same reuse per OS thread
-//!   for callers without a scratch (the batch runner, the service layer).
+//! * The engine keeps its pool in the scratch that
+//!   [`run_engine`](crate::engine::run_engine) parks per thread and
+//!   algorithm type, so one pool survives across rounds **and** across
+//!   runs. [`with_local_pool`] offers the same reuse per OS thread for
+//!   fan-outs of whole instances, and [`fan_out`] is the one entry for
+//!   those (the bench bins, the service's solve driver).
 //! * Dropping the pool releases the workers and joins them.
 //!
 //! ## Thread-count policy
@@ -313,8 +314,8 @@ pub fn map_with<T: Send, R: Send>(
 }
 
 thread_local! {
-    /// One reusable pool per OS thread, for callers without an
-    /// [`EngineScratch`](crate::engine::EngineScratch) to park a pool in.
+    /// One reusable pool per OS thread, for fan-outs of whole instances
+    /// (the engine parks its own round pool with its per-type scratch).
     static LOCAL_POOL: RefCell<Option<RoundPool>> = const { RefCell::new(None) };
 }
 
@@ -343,6 +344,30 @@ pub fn with_local_pool<R>(width: usize, f: impl FnOnce(&mut RoundPool) -> R) -> 
         _ => RoundPool::new(width),
     }));
     f(guard.0.as_mut().expect("pool present until drop"))
+}
+
+/// Runs `f(i, task)` for every task across `threads` workers (`0` = auto)
+/// and returns the results **in task order** — the one way to run many
+/// independent instances: resolve and clamp the width, then
+/// [`RoundPool::map`] on this thread's cached pool ([`with_local_pool`]),
+/// so repeated fan-outs reuse the spawned workers. Each task runs whole on
+/// one worker; with width 1 or a single task everything runs inline and
+/// the cached pool is left alone. Results equal `tasks.map(f)` run
+/// sequentially (tested).
+pub fn fan_out<T: Send, R: Send>(
+    threads: usize,
+    tasks: Vec<T>,
+    f: impl Fn(usize, T) -> R + Sync,
+) -> Vec<R> {
+    let width = clamp_width(resolve_threads(threads));
+    if width <= 1 || tasks.len() <= 1 {
+        return map_with(None, tasks, f);
+    }
+    // The pool is cached at the machine-derived width, not one coupled to
+    // the task count: that would respawn the workers whenever consecutive
+    // fan-outs differ in size, while an excess worker merely exits on its
+    // first pull.
+    with_local_pool(width, |p| p.map(tasks, f))
 }
 
 /// The machine's available parallelism (cached; 1 when unknown).

@@ -2,14 +2,19 @@
 //! outputs *and* traces — to a naive seed-semantics reference across thread
 //! counts and frontier-skipping modes for both delivery models; broadcast is
 //! sender-oblivious under arbitrary port permutations; lifts project; and
-//! instrumentation accounting matches the all-nodes-send model.
+//! instrumentation accounting matches the all-nodes-send model. Every
+//! `run_engine` call after a thread's first reuses that thread's parked
+//! scratch, so the same oracle covers engine-owned allocation reuse, and
+//! `pool::fan_out` batches must equal the runs they fan out.
 
 use anonet_sim::cover::{check_lift_outputs, lift};
+use anonet_sim::pool::fan_out;
 use anonet_sim::{
-    run_bcast, run_engine, run_engine_scratch, run_pn, run_pn_threads, BcastAlgorithm, Broadcast,
-    EngineOptions, EngineScratch, Graph, MessageSize, PnAlgorithm, PortNumbering, RunResult, Trace,
+    run_engine, BcastAlgorithm, Broadcast, EngineOptions, Graph, MessageSize, PnAlgorithm,
+    PortNumbering, RunResult, SimError, Trace,
 };
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// These suites must exercise the *real* pooled multi-part path even on a
 /// single-core runner, where the worker-width cap would otherwise collapse
@@ -229,10 +234,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Tentpole acceptance: the unified engine — any thread count (`0` =
-    /// auto), frontier skipping on or off, fresh or **reused scratch** (the
-    /// reused path also parks and revives the persistent round pool) — is
-    /// bit-identical (outputs and Trace) to the seed-semantics reference,
-    /// in the port-numbering model.
+    /// auto), frontier skipping on or off, first or **repeated** run on
+    /// this thread (a repeat reuses the parked scratch and, at width > 1,
+    /// revives the parked round pool) — is bit-identical (outputs and
+    /// Trace) to the seed-semantics reference, in the port-numbering model.
     #[test]
     fn pn_engine_bit_identical_to_reference(
         n in 2usize..40,
@@ -245,18 +250,19 @@ proptest! {
         let inputs: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul(seed | 1)).collect();
         let limit = spread + 2;
         let base = reference_pn::<StaggerHash>(&g, &spread, &inputs, limit);
-        let mut scratch = EngineScratch::new();
         for threads in [0usize, 1, 2, 4, 8] {
             for frontier_skipping in [false, true] {
                 let opts = EngineOptions { threads, frontier_skipping };
-                let res = run_engine::<StaggerHash, PortNumbering>(&g, &spread, &inputs, limit, opts)
+                let res = run_engine::<StaggerHash, PortNumbering>(
+                    &g, &spread, &inputs, limit, opts)
                     .unwrap();
                 prop_assert_eq!(&res.outputs, &base.outputs, "t={} skip={}", threads, frontier_skipping);
                 prop_assert_eq!(&res.trace, &base.trace, "t={} skip={}", threads, frontier_skipping);
-                let reused = run_engine_scratch::<StaggerHash, PortNumbering>(
-                    &g, &spread, &inputs, limit, opts, &mut scratch).unwrap();
-                prop_assert_eq!(&reused.outputs, &base.outputs, "scratch t={} skip={}", threads, frontier_skipping);
-                prop_assert_eq!(&reused.trace, &base.trace, "scratch t={} skip={}", threads, frontier_skipping);
+                let again = run_engine::<StaggerHash, PortNumbering>(
+                    &g, &spread, &inputs, limit, opts)
+                    .unwrap();
+                prop_assert_eq!(&again.outputs, &base.outputs, "repeat t={} skip={}", threads, frontier_skipping);
+                prop_assert_eq!(&again.trace, &base.trace, "repeat t={} skip={}", threads, frontier_skipping);
             }
         }
     }
@@ -274,7 +280,6 @@ proptest! {
         let inputs: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul((seed >> 1) | 1)).collect();
         let limit = spread + 2;
         let base = reference_bcast::<StaggerCensus>(&g, &spread, &inputs, limit);
-        let mut scratch = EngineScratch::new();
         for threads in [0usize, 1, 2, 4, 8] {
             for frontier_skipping in [false, true] {
                 let opts = EngineOptions { threads, frontier_skipping };
@@ -282,10 +287,11 @@ proptest! {
                     .unwrap();
                 prop_assert_eq!(&res.outputs, &base.outputs, "t={} skip={}", threads, frontier_skipping);
                 prop_assert_eq!(&res.trace, &base.trace, "t={} skip={}", threads, frontier_skipping);
-                let reused = run_engine_scratch::<StaggerCensus, Broadcast>(
-                    &g, &spread, &inputs, limit, opts, &mut scratch).unwrap();
-                prop_assert_eq!(&reused.outputs, &base.outputs, "scratch t={} skip={}", threads, frontier_skipping);
-                prop_assert_eq!(&reused.trace, &base.trace, "scratch t={} skip={}", threads, frontier_skipping);
+                let again = run_engine::<StaggerCensus, Broadcast>(
+                    &g, &spread, &inputs, limit, opts)
+                    .unwrap();
+                prop_assert_eq!(&again.outputs, &base.outputs, "repeat t={} skip={}", threads, frontier_skipping);
+                prop_assert_eq!(&again.trace, &base.trace, "repeat t={} skip={}", threads, frontier_skipping);
             }
         }
     }
@@ -294,8 +300,8 @@ proptest! {
     /// backbone, i.e. a power-law-flavoured degree profile — are exactly the
     /// shape whose arcs the old node-count partition crammed into one part.
     /// The arc-weight partition must keep outputs and Trace bit-identical to
-    /// the reference for every thread count, frontier mode, and scratch
-    /// reuse (this case would have caught an imbalance-fix bug; the balance
+    /// the reference for every thread count, frontier mode, and repeated
+    /// run (this case would have caught an imbalance-fix bug; the balance
     /// itself is asserted by the `partition_weighted` unit tests).
     #[test]
     fn pn_engine_bit_identical_on_skewed_degrees(
@@ -310,12 +316,12 @@ proptest! {
         let inputs: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul(seed | 1)).collect();
         let limit = spread + 2;
         let base = reference_pn::<StaggerHash>(&g, &spread, &inputs, limit);
-        let mut scratch = EngineScratch::new();
         for threads in [1usize, 2, 4, 8] {
             for frontier_skipping in [false, true] {
                 let opts = EngineOptions { threads, frontier_skipping };
-                let res = run_engine_scratch::<StaggerHash, PortNumbering>(
-                    &g, &spread, &inputs, limit, opts, &mut scratch).unwrap();
+                let res = run_engine::<StaggerHash, PortNumbering>(
+                    &g, &spread, &inputs, limit, opts)
+                    .unwrap();
                 prop_assert_eq!(&res.outputs, &base.outputs, "t={} skip={}", threads, frontier_skipping);
                 prop_assert_eq!(&res.trace, &base.trace, "t={} skip={}", threads, frontier_skipping);
             }
@@ -337,12 +343,11 @@ proptest! {
         let inputs: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul((seed >> 1) | 1)).collect();
         let limit = spread + 2;
         let base = reference_bcast::<StaggerCensus>(&g, &spread, &inputs, limit);
-        let mut scratch = EngineScratch::new();
         for threads in [1usize, 2, 4, 8] {
             for frontier_skipping in [false, true] {
                 let opts = EngineOptions { threads, frontier_skipping };
-                let res = run_engine_scratch::<StaggerCensus, Broadcast>(
-                    &g, &spread, &inputs, limit, opts, &mut scratch).unwrap();
+                let res = run_engine::<StaggerCensus, Broadcast>(&g, &spread, &inputs, limit, opts)
+                    .unwrap();
                 prop_assert_eq!(&res.outputs, &base.outputs, "t={} skip={}", threads, frontier_skipping);
                 prop_assert_eq!(&res.trace, &base.trace, "t={} skip={}", threads, frontier_skipping);
             }
@@ -360,8 +365,10 @@ proptest! {
         allow_oversubscribe();
         let g = seeded_gnp(n, p, seed);
         let inputs: Vec<u64> = (0..n as u64).map(|v| v.wrapping_mul(seed | 1)).collect();
-        let a = run_pn::<ViewHash>(&g, &rounds, &inputs, rounds + 1).unwrap();
-        let b = run_pn_threads::<ViewHash>(&g, &rounds, &inputs, rounds + 1, threads).unwrap();
+        let a = run_engine::<ViewHash, PortNumbering>(
+            &g, &rounds, &inputs, rounds + 1, EngineOptions::default()).unwrap();
+        let b = run_engine::<ViewHash, PortNumbering>(
+            &g, &rounds, &inputs, rounds + 1, EngineOptions::threads(threads)).unwrap();
         prop_assert_eq!(&a.outputs, &b.outputs);
         prop_assert_eq!(&a.trace, &b.trace);
     }
@@ -376,7 +383,8 @@ proptest! {
     ) {
         let g = seeded_gnp(n, p, seed);
         let inputs: Vec<u64> = (0..n as u64).collect();
-        let base = run_bcast::<Census>(&g, &rounds, &inputs, rounds + 1).unwrap();
+        let base = run_engine::<Census, Broadcast>(
+            &g, &rounds, &inputs, rounds + 1, EngineOptions::default()).unwrap();
         // Arbitrary per-node port permutation must not change anything.
         let mut state = perm_seed | 1;
         let permuted = g.reorder_ports(|_, old| {
@@ -387,7 +395,8 @@ proptest! {
             }
             v
         });
-        let twisted = run_bcast::<Census>(&permuted, &rounds, &inputs, rounds + 1).unwrap();
+        let twisted = run_engine::<Census, Broadcast>(
+            &permuted, &rounds, &inputs, rounds + 1, EngineOptions::default()).unwrap();
         prop_assert_eq!(base.outputs, twisted.outputs);
     }
 
@@ -401,11 +410,13 @@ proptest! {
     ) {
         let g = seeded_gnp(n, p, seed);
         let inputs: Vec<u64> = (0..n as u64).collect();
-        let base = run_pn::<ViewHash>(&g, &rounds, &inputs, rounds + 1).unwrap();
+        let base = run_engine::<ViewHash, PortNumbering>(
+            &g, &rounds, &inputs, rounds + 1, EngineOptions::default()).unwrap();
         let l = lift(&g, k, seed ^ 0xFACE);
         let lifted_inputs: Vec<u64> =
             (0..l.graph.n()).map(|vp| inputs[l.projection[vp]]).collect();
-        let lifted = run_pn::<ViewHash>(&l.graph, &rounds, &lifted_inputs, rounds + 1).unwrap();
+        let lifted = run_engine::<ViewHash, PortNumbering>(
+            &l.graph, &rounds, &lifted_inputs, rounds + 1, EngineOptions::default()).unwrap();
         prop_assert_eq!(check_lift_outputs(&l, &base.outputs, &lifted.outputs), None);
     }
 
@@ -418,7 +429,8 @@ proptest! {
     ) {
         let g = seeded_gnp(n, p, seed);
         let inputs: Vec<u64> = (0..n as u64).collect();
-        let res = run_pn::<ViewHash>(&g, &rounds, &inputs, rounds + 1).unwrap();
+        let res = run_engine::<ViewHash, PortNumbering>(
+            &g, &rounds, &inputs, rounds + 1, EngineOptions::default()).unwrap();
         prop_assert_eq!(res.trace.rounds, rounds);
         prop_assert_eq!(res.trace.messages, rounds * g.arcs() as u64);
         // Every u64 message is 64 bits.
@@ -481,6 +493,187 @@ fn message_size_is_observed() {
         }
     }
     let g = Graph::from_edges(2, &[(0, 1)]).unwrap();
-    let res = run_pn::<Wide>(&g, &(), &[(), ()], 2).unwrap();
+    let res =
+        run_engine::<Wide, PortNumbering>(&g, &(), &[(), ()], 2, EngineOptions::default()).unwrap();
     assert_eq!(res.trace.max_message_bits, vec![0u64; 10].approx_bits());
+}
+
+/// [`StaggerHash`] with a fuse: a node whose input is [`FUSE`] panics in
+/// `receive`. Any other input runs exactly like `StaggerHash`.
+struct Fused(StaggerHash);
+
+const FUSE: u64 = u64::MAX;
+
+impl PnAlgorithm for Fused {
+    type Msg = u64;
+    type Input = u64;
+    type Output = u64;
+    type Config = u64;
+
+    fn init(cfg: &u64, degree: usize, input: &u64) -> Self {
+        let mut node = StaggerHash::init(cfg, degree, input);
+        if *input == FUSE {
+            node.halt_at = FUSE;
+        }
+        Fused(node)
+    }
+    fn send(&self, cfg: &u64, round: u64, out: &mut [u64]) {
+        self.0.send(cfg, round, out);
+    }
+    fn receive(&mut self, cfg: &u64, round: u64, incoming: &[&u64]) -> Option<u64> {
+        assert!(self.0.halt_at != FUSE, "fused node program panics");
+        self.0.receive(cfg, round, incoming)
+    }
+}
+
+fn cycle(n: usize) -> Graph {
+    let edges: Vec<(usize, usize)> = (0..n).map(|v| (v, (v + 1) % n)).collect();
+    Graph::from_edges(n, &edges).unwrap()
+}
+
+fn spread_inputs(n: usize, salt: u64) -> Vec<u64> {
+    (0..n as u64).map(|v| v.wrapping_mul(salt | 1).wrapping_add(salt)).collect()
+}
+
+#[test]
+fn interleaved_algorithms_and_models_on_one_thread_match_the_reference() {
+    // Two algorithm types in each delivery model, interleaved on one thread
+    // over shrinking and growing graphs: each type's parked scratch must
+    // stay its own, whatever ran in between.
+    allow_oversubscribe();
+    for (i, n) in [48usize, 7, 90, 3, 48, 20].into_iter().enumerate() {
+        let g = seeded_gnp(n, 0.2, i as u64 + 11);
+        let inputs = spread_inputs(n, i as u64);
+        let opts = EngineOptions::threads(i % 3);
+        let (spread, rounds) = (5u64, 3u64);
+        let limit = spread + 2;
+        let a =
+            run_engine::<StaggerHash, PortNumbering>(&g, &spread, &inputs, limit, opts).unwrap();
+        let b = run_engine::<StaggerCensus, Broadcast>(&g, &spread, &inputs, limit, opts).unwrap();
+        let c = run_engine::<ViewHash, PortNumbering>(&g, &rounds, &inputs, limit, opts).unwrap();
+        let d = run_engine::<Census, Broadcast>(&g, &rounds, &inputs, limit, opts).unwrap();
+        let ra = reference_pn::<StaggerHash>(&g, &spread, &inputs, limit);
+        let rb = reference_bcast::<StaggerCensus>(&g, &spread, &inputs, limit);
+        let rc = reference_pn::<ViewHash>(&g, &rounds, &inputs, limit);
+        let rd = reference_bcast::<Census>(&g, &rounds, &inputs, limit);
+        assert_eq!((&a.outputs, &a.trace), (&ra.outputs, &ra.trace), "StaggerHash n={n}");
+        assert_eq!((&b.outputs, &b.trace), (&rb.outputs, &rb.trace), "StaggerCensus n={n}");
+        assert_eq!((&c.outputs, &c.trace), (&rc.outputs, &rc.trace), "ViewHash n={n}");
+        assert_eq!((&d.outputs, &d.trace), (&rd.outputs, &rd.trace), "Census n={n}");
+    }
+}
+
+#[test]
+fn a_run_after_a_round_limit_error_matches_the_reference() {
+    allow_oversubscribe();
+    for threads in [1usize, 2] {
+        let opts = EngineOptions::threads(threads);
+        let g = seeded_gnp(40, 0.15, 5);
+        let inputs = spread_inputs(40, 9);
+        let spread = 6u64;
+        let err =
+            run_engine::<StaggerHash, PortNumbering>(&g, &spread, &inputs, 2, opts).unwrap_err();
+        assert!(matches!(err, SimError::RoundLimit { limit: 2, n: 40, .. }), "t={threads}");
+        // A smaller instance next: the aborted run's larger buffers are reused.
+        let g = cycle(13);
+        let inputs = spread_inputs(13, 4);
+        let res = run_engine::<StaggerHash, PortNumbering>(&g, &spread, &inputs, spread + 2, opts)
+            .unwrap();
+        let base = reference_pn::<StaggerHash>(&g, &spread, &inputs, spread + 2);
+        assert_eq!((&res.outputs, &res.trace), (&base.outputs, &base.trace), "t={threads}");
+    }
+}
+
+#[test]
+fn a_run_after_a_panicking_node_program_matches_the_reference() {
+    allow_oversubscribe();
+    let spread = 4u64;
+    for threads in [1usize, 2] {
+        let opts = EngineOptions::threads(threads);
+        let g = seeded_gnp(30, 0.2, 3);
+        let mut inputs = spread_inputs(30, 2);
+        inputs[17] = FUSE;
+        let boom = catch_unwind(AssertUnwindSafe(|| {
+            run_engine::<Fused, PortNumbering>(&g, &spread, &inputs, spread + 2, opts)
+        }));
+        assert!(boom.is_err(), "the fused node must panic (t={threads})");
+        for n in [30usize, 9] {
+            let g = seeded_gnp(n, 0.2, n as u64);
+            let inputs = spread_inputs(n, 6);
+            let res =
+                run_engine::<Fused, PortNumbering>(&g, &spread, &inputs, spread + 2, opts).unwrap();
+            let base = reference_pn::<StaggerHash>(&g, &spread, &inputs, spread + 2);
+            assert_eq!((&res.outputs, &res.trace), (&base.outputs, &base.trace), "t={threads}");
+        }
+    }
+}
+
+/// One instance of a fan-out batch: a graph, its inputs and a round limit.
+type Inst<'a> = (&'a Graph, &'a [u64], u64);
+
+fn run_batch(
+    threads: usize,
+    batch: &[Inst<'_>],
+    spread: u64,
+) -> Vec<Result<RunResult<u64>, SimError>> {
+    let opts = EngineOptions::default();
+    fan_out(threads, batch.to_vec(), |_, (g, inputs, limit)| {
+        run_engine::<StaggerHash, PortNumbering>(g, &spread, inputs, limit, opts)
+    })
+}
+
+#[test]
+fn fan_out_matches_solo_runs_at_every_width() {
+    allow_oversubscribe();
+    let graphs: Vec<Graph> = [4usize, 9, 17, 33, 3].into_iter().map(cycle).collect();
+    let inputs: Vec<Vec<u64>> =
+        graphs.iter().enumerate().map(|(i, g)| spread_inputs(g.n(), i as u64 + 1)).collect();
+    let spread = 3u64;
+    let batch: Vec<Inst<'_>> =
+        graphs.iter().zip(&inputs).map(|(g, inp)| (g, inp.as_slice(), 10)).collect();
+    for threads in [0usize, 1, 2, 4, 8] {
+        let got = run_batch(threads, &batch, spread);
+        assert_eq!(got.len(), batch.len());
+        for (&(g, inp, limit), res) in batch.iter().zip(got) {
+            let solo = reference_pn::<StaggerHash>(g, &spread, inp, limit);
+            let res = res.unwrap();
+            assert_eq!((&res.outputs, &res.trace), (&solo.outputs, &solo.trace), "t={threads}");
+        }
+    }
+}
+
+#[test]
+fn fan_out_reports_per_instance_errors() {
+    allow_oversubscribe();
+    let (fast, slow) = (cycle(4), cycle(6));
+    let fast_inputs = vec![0u64; 4]; // everyone halts in round 1
+    let slow_inputs = vec![49u64; 6]; // everyone halts in round 50
+    let batch: Vec<Inst<'_>> = vec![(&fast, &fast_inputs, 10), (&slow, &slow_inputs, 10)];
+    let res = run_batch(2, &batch, 50);
+    assert!(res[0].is_ok());
+    assert_eq!(res[1].as_ref().unwrap_err(), &SimError::RoundLimit { limit: 10, halted: 0, n: 6 });
+}
+
+#[test]
+fn fan_out_of_an_empty_batch_is_empty() {
+    assert!(run_batch(4, &[], 3).is_empty());
+}
+
+#[test]
+fn repeated_auto_width_fan_outs_match_solo_runs() {
+    // `threads: 0` = auto; repeated fan-outs go through the thread-local
+    // pool reuse path and the workers' parked engine scratches — results
+    // must stay bit-identical every time.
+    allow_oversubscribe();
+    let graphs: Vec<Graph> = [5usize, 12, 7, 20].into_iter().map(cycle).collect();
+    let inputs: Vec<Vec<u64>> = graphs.iter().map(|g| spread_inputs(g.n(), 3)).collect();
+    let batch: Vec<Inst<'_>> =
+        graphs.iter().zip(&inputs).map(|(g, inp)| (g, inp.as_slice(), 10)).collect();
+    for repeat in 0..3 {
+        for (&(g, inp, limit), res) in batch.iter().zip(run_batch(0, &batch, 2)) {
+            let solo = reference_pn::<StaggerHash>(g, &2, inp, limit);
+            let res = res.unwrap();
+            assert_eq!((&res.outputs, &res.trace), (&solo.outputs, &solo.trace), "r={repeat}");
+        }
+    }
 }

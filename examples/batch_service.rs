@@ -1,6 +1,6 @@
 //! Batch service: answer many independent vertex-cover "requests" through
-//! one worker pool — the serve-many-requests shape the batched runner
-//! exists for.
+//! one worker pool — the serve-many-requests shape `run_edge_packing_many`
+//! (a `sim::pool::fan_out` over §3's one run entry) exists for.
 //!
 //! The paper's point is that round counts depend only on the *local*
 //! parameters (Δ, W), never on n, so a fleet of small instances is exactly

@@ -11,10 +11,11 @@
 
 use anonet::bigmath::BigRat;
 use anonet::core::certify::certify_set_cover;
-use anonet::core::sc_bcast::{run_fractional_packing, ScConfig};
+use anonet::core::sc_bcast::{run_fractional_packing, ScConfig, ScInstance};
 use anonet::core::trivial::run_trivial;
 use anonet::exact::min_weight_set_cover;
 use anonet::gen::{setcover, WeightSpec};
+use anonet::sim::EngineOptions;
 
 fn main() {
     // 15×12 cell grid; stations every 3 cells covering radius 2 (Chebyshev).
@@ -26,7 +27,8 @@ fn main() {
         inst.n_elements()
     );
 
-    let run = run_fractional_packing::<BigRat>(&inst).expect("run completes");
+    let run = run_fractional_packing::<BigRat>(ScInstance::new(&inst), EngineOptions::default())
+        .expect("run completes");
     let cert = certify_set_cover(&inst, &run.packing, &run.cover).expect("certified");
     let chosen = run.cover.iter().filter(|&&b| b).count();
     println!(

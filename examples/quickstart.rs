@@ -5,9 +5,9 @@
 
 use anonet::bigmath::BigRat;
 use anonet::core::certify::certify_vertex_cover;
-use anonet::core::vc_pn::{run_edge_packing, EdgePackingNode, VcConfig};
-use anonet::runtime::{run_async_pn, scenario};
-use anonet::sim::Graph;
+use anonet::core::vc_pn::{run_edge_packing, EdgePackingNode, VcConfig, VcInstance};
+use anonet::runtime::{run_async_engine, scenario};
+use anonet::sim::{EngineOptions, Graph, PortNumbering};
 
 fn main() {
     // A communication network: 6 anonymous devices, 7 links. Weights are the
@@ -25,7 +25,9 @@ fn main() {
 
     // Every node runs the same deterministic program; no identifiers, no
     // randomness — only its degree, its weight, and the global bounds (Δ, W).
-    let run = run_edge_packing::<BigRat>(&graph, &weights).expect("run completes");
+    let run =
+        run_edge_packing::<BigRat>(VcInstance::new(&graph, &weights), EngineOptions::default())
+            .expect("run completes");
 
     println!("maximal edge packing y(e):");
     for (e, u, v) in graph.edge_iter() {
@@ -56,7 +58,7 @@ fn main() {
     // makes the execution indistinguishable to the algorithm, so the cover
     // is bit-identical. See `examples/async_network.rs` for the full tour.
     let cfg = VcConfig::new(graph.max_degree(), *weights.iter().max().unwrap());
-    let async_run = run_async_pn::<EdgePackingNode<BigRat>>(
+    let async_run = run_async_engine::<EdgePackingNode<BigRat>, PortNumbering>(
         &graph,
         &cfg,
         &weights,

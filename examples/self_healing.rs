@@ -5,9 +5,10 @@
 //! Run with: `cargo run --example self_healing`
 
 use anonet::bigmath::BigRat;
-use anonet::core::vc_pn::{run_edge_packing, EdgePackingNode, VcConfig, VcOutput};
+use anonet::core::vc_pn::{run_edge_packing, EdgePackingNode, VcConfig, VcInstance, VcOutput};
 use anonet::gen::{family, Rng, WeightSpec};
 use anonet::selfstab::{strike, SelfStabConfig, SelfStabHarness};
+use anonet::sim::EngineOptions;
 
 type Node = EdgePackingNode<BigRat>;
 
@@ -17,7 +18,8 @@ fn main() {
 
     // Fault-free reference output.
     let reference: Vec<VcOutput<BigRat>> = {
-        let run = run_edge_packing::<BigRat>(&g, &w).expect("reference run");
+        let run = run_edge_packing::<BigRat>(VcInstance::new(&g, &w), EngineOptions::default())
+            .expect("reference run");
         (0..g.n())
             .map(|v| VcOutput {
                 in_cover: run.cover[v],

@@ -12,8 +12,9 @@
 
 use anonet::bigmath::BigRat;
 use anonet::core::certify::certify_vertex_cover;
-use anonet::core::vc_pn::{run_edge_packing_with, VcConfig};
+use anonet::core::vc_pn::{run_edge_packing, VcConfig, VcInstance};
 use anonet::gen::{family, WeightSpec};
+use anonet::sim::EngineOptions;
 
 fn main() {
     let delta = 6; // radio-range cap: at most 6 neighbours
@@ -26,8 +27,11 @@ fn main() {
         // Exact BigRat arithmetic: at Δ = 6 the star-phase grants and the
         // certificate's global dual sum outgrow i128 (the Rat128 fast path
         // is for small regimes like the quickstart; see bigmath docs).
-        let run = run_edge_packing_with::<BigRat>(&field, &batteries, delta, w_max, 4)
-            .expect("run completes");
+        let run = run_edge_packing::<BigRat>(
+            VcInstance::with_bounds(&field, &batteries, delta, w_max),
+            EngineOptions::threads(4),
+        )
+        .expect("run completes");
         let cert =
             certify_vertex_cover(&field, &batteries, &run.packing, &run.cover).expect("certified");
 

@@ -3,11 +3,11 @@
 //! invariance — checked through the full algorithm stack.
 
 use anonet::bigmath::BigRat;
-use anonet::core::sc_bcast::run_fractional_packing;
-use anonet::core::vc_pn::run_edge_packing;
+use anonet::core::sc_bcast::{run_fractional_packing, ScInstance};
+use anonet::core::vc_pn::{run_edge_packing, VcInstance};
 use anonet::gen::{family, setcover, Rng, WeightSpec};
 use anonet::sim::cover::lift;
-use anonet::sim::SetCoverInstance;
+use anonet::sim::{EngineOptions, SetCoverInstance};
 
 #[test]
 fn pn_output_depends_only_on_ports_weights() {
@@ -15,8 +15,8 @@ fn pn_output_depends_only_on_ports_weights() {
     // determinism — no hidden state, no randomness).
     let g = family::petersen();
     let w = WeightSpec::Uniform(15).draw_many(10, 3);
-    let a = run_edge_packing::<BigRat>(&g, &w).unwrap();
-    let b = run_edge_packing::<BigRat>(&g, &w).unwrap();
+    let a = run_edge_packing::<BigRat>(VcInstance::new(&g, &w), EngineOptions::default()).unwrap();
+    let b = run_edge_packing::<BigRat>(VcInstance::new(&g, &w), EngineOptions::default()).unwrap();
     assert_eq!(a.cover, b.cover);
     assert_eq!(a.packing, b.packing);
 }
@@ -32,7 +32,9 @@ fn port_permutation_changes_only_within_guarantees() {
             rng.shuffle(&mut v);
             v
         });
-        let run = run_edge_packing::<BigRat>(&permuted, &w).unwrap();
+        let run =
+            run_edge_packing::<BigRat>(VcInstance::new(&permuted, &w), EngineOptions::default())
+                .unwrap();
         assert!(run.packing.is_feasible(&permuted, &w));
         assert!(run.packing.is_maximal(&permuted, &w));
     }
@@ -43,7 +45,8 @@ fn broadcast_output_is_port_independent() {
     // The §4 algorithm may not depend on port order at all (broadcast
     // model): permuting ports must give the *identical* result.
     let base = setcover::random_bounded(10, 7, 2, 3, WeightSpec::Uniform(9), 21);
-    let run_a = run_fractional_packing::<BigRat>(&base).unwrap();
+    let run_a =
+        run_fractional_packing::<BigRat>(ScInstance::new(&base), EngineOptions::default()).unwrap();
 
     let mut rng = Rng::new(4);
     let permuted_graph = base.graph.reorder_ports(|_, old| {
@@ -56,7 +59,9 @@ fn broadcast_output_is_port_independent() {
         n_subsets: base.n_subsets,
         weights: base.weights.clone(),
     };
-    let run_b = run_fractional_packing::<BigRat>(&permuted).unwrap();
+    let run_b =
+        run_fractional_packing::<BigRat>(ScInstance::new(&permuted), EngineOptions::default())
+            .unwrap();
     assert_eq!(run_a.cover, run_b.cover);
     assert_eq!(run_a.packing.y, run_b.packing.y);
 }
@@ -66,14 +71,16 @@ fn deep_lift_invariance() {
     // 2-lift of a 2-lift = 4-fold cover; outputs still project correctly.
     let g = family::cycle(5);
     let w = WeightSpec::Uniform(7).draw_many(5, 2);
-    let base = run_edge_packing::<BigRat>(&g, &w).unwrap();
+    let base =
+        run_edge_packing::<BigRat>(VcInstance::new(&g, &w), EngineOptions::default()).unwrap();
 
     let l1 = lift(&g, 2, 5);
     let w1: Vec<u64> = (0..l1.graph.n()).map(|v| w[l1.projection[v]]).collect();
     let l2 = lift(&l1.graph, 2, 6);
     let w2: Vec<u64> = (0..l2.graph.n()).map(|v| w1[l2.projection[v]]).collect();
 
-    let run = run_edge_packing::<BigRat>(&l2.graph, &w2).unwrap();
+    let run = run_edge_packing::<BigRat>(VcInstance::new(&l2.graph, &w2), EngineOptions::default())
+        .unwrap();
     for v in 0..l2.graph.n() {
         let base_node = l1.projection[l2.projection[v]];
         assert_eq!(run.cover[v], base.cover[base_node], "depth-2 lift node {v}");
@@ -82,6 +89,7 @@ fn deep_lift_invariance() {
 
 #[test]
 fn disconnected_components_are_independent() {
+    let opts = EngineOptions::default();
     // Running on a disjoint union equals running on the parts (locality).
     let g1 = family::cycle(5);
     let g2 = family::star(3);
@@ -97,9 +105,21 @@ fn disconnected_components_are_independent() {
     // Same global bounds for all three runs (Δ, W are global parameters).
     let delta = gu.max_degree();
     let wmax = *wu.iter().max().unwrap();
-    let u = anonet::core::vc_pn::run_edge_packing_with::<BigRat>(&gu, &wu, delta, wmax, 1).unwrap();
-    let a = anonet::core::vc_pn::run_edge_packing_with::<BigRat>(&g1, &w1, delta, wmax, 1).unwrap();
-    let b = anonet::core::vc_pn::run_edge_packing_with::<BigRat>(&g2, &w2, delta, wmax, 1).unwrap();
+    let u = anonet::core::vc_pn::run_edge_packing::<BigRat>(
+        VcInstance::with_bounds(&gu, &wu, delta, wmax),
+        opts,
+    )
+    .unwrap();
+    let a = anonet::core::vc_pn::run_edge_packing::<BigRat>(
+        VcInstance::with_bounds(&g1, &w1, delta, wmax),
+        opts,
+    )
+    .unwrap();
+    let b = anonet::core::vc_pn::run_edge_packing::<BigRat>(
+        VcInstance::with_bounds(&g2, &w2, delta, wmax),
+        opts,
+    )
+    .unwrap();
 
     assert_eq!(&u.cover[..5], &a.cover[..]);
     assert_eq!(&u.cover[5..], &b.cover[..]);

@@ -5,12 +5,28 @@
 use anonet::baselines::{run_id_edge_packing, run_kvy, run_ps3, run_rand_matching};
 use anonet::bigmath::{BigRat, PackingValue, Rat128};
 use anonet::core::certify::{certify_set_cover, certify_vertex_cover};
-use anonet::core::sc_bcast::run_fractional_packing;
+use anonet::core::sc_bcast::{run_fractional_packing, ScInstance, ScRun};
 use anonet::core::trivial::run_trivial;
-use anonet::core::vc_bcast::{incidence_instance, run_vc_broadcast};
-use anonet::core::vc_pn::run_edge_packing;
+use anonet::core::vc_bcast::{incidence_instance, run_vc_broadcast, VcBcastRun};
+use anonet::core::vc_pn::{run_edge_packing, VcInstance, VcRun};
 use anonet::exact::{is_vertex_cover, min_weight_set_cover, min_weight_vertex_cover};
 use anonet::gen::{family, setcover, WeightSpec};
+use anonet::sim::{EngineOptions, Graph, PortNumbering, SetCoverInstance, SimError};
+
+/// One §3 run: bounds derived from the instance, default engine options.
+fn sec3<V: PackingValue>(g: &Graph, weights: &[u64]) -> Result<VcRun<V>, SimError> {
+    run_edge_packing(VcInstance::new(g, weights), EngineOptions::default())
+}
+
+/// One §5 run: bounds derived from the instance, default engine options.
+fn sec5<V: PackingValue>(g: &Graph, weights: &[u64]) -> Result<VcBcastRun<V>, SimError> {
+    run_vc_broadcast(VcInstance::new(g, weights), EngineOptions::default())
+}
+
+/// One §4 run: bounds derived from the instance, default engine options.
+fn sec4<V: PackingValue>(inst: &SetCoverInstance) -> Result<ScRun<V>, SimError> {
+    run_fractional_packing(ScInstance::new(inst), EngineOptions::default())
+}
 
 /// The ISSUE-1 smoke test: generate via `anonet::gen`, drive the PN engine
 /// via `anonet::sim` directly (no convenience wrapper), and check cover
@@ -18,13 +34,16 @@ use anonet::gen::{family, setcover, WeightSpec};
 #[test]
 fn gen_sim_exact_smoke() {
     use anonet::core::vc_pn::{EdgePackingNode, VcConfig};
-    use anonet::sim::run_pn;
+    use anonet::sim::run_engine;
 
     fn check<V: PackingValue>(g: &anonet::sim::Graph, w: &[u64]) {
+        let opts = EngineOptions::default();
         let delta = g.max_degree();
         let wmax = w.iter().copied().max().unwrap_or(1).max(1);
         let cfg = VcConfig::new(delta, wmax);
-        let res = run_pn::<EdgePackingNode<V>>(g, &cfg, w, cfg.total_rounds()).unwrap();
+        let res =
+            run_engine::<EdgePackingNode<V>, PortNumbering>(g, &cfg, w, cfg.total_rounds(), opts)
+                .unwrap();
         let cover: Vec<bool> = res.outputs.iter().map(|o| o.in_cover).collect();
         assert!(is_vertex_cover(g, &cover), "sim output must be a vertex cover");
         let cover_weight: u64 = (0..g.n()).filter(|&v| cover[v]).map(|v| w[v]).sum();
@@ -52,7 +71,7 @@ fn full_vc_pipeline_with_exact_ratio() {
         let g = family::gnp_capped(16, 0.3, 4, seed);
         let w = WeightSpec::Uniform(40).draw_many(16, seed + 21);
 
-        let run = run_edge_packing::<BigRat>(&g, &w).unwrap();
+        let run = sec3::<BigRat>(&g, &w).unwrap();
         let cert = certify_vertex_cover(&g, &w, &run.packing, &run.cover).unwrap();
 
         let opt = min_weight_vertex_cover(&g, &w);
@@ -66,7 +85,7 @@ fn full_vc_pipeline_with_exact_ratio() {
 fn full_sc_pipeline_with_exact_ratio() {
     for seed in 0..3u64 {
         let inst = setcover::random_bounded(12, 8, 2, 4, WeightSpec::Uniform(25), seed);
-        let run = run_fractional_packing::<BigRat>(&inst).unwrap();
+        let run = sec4::<BigRat>(&inst).unwrap();
         let cert = certify_set_cover(&inst, &run.packing, &run.cover).unwrap();
 
         let opt = min_weight_set_cover(&inst);
@@ -83,7 +102,7 @@ fn all_vc_algorithms_cover_the_same_instance() {
     let unit = vec![1u64; 24];
     let ids: Vec<u64> = (1..=24).collect();
 
-    let a = run_edge_packing::<BigRat>(&g, &w).unwrap();
+    let a = sec3::<BigRat>(&g, &w).unwrap();
     assert!(is_vertex_cover(&g, &a.cover));
 
     let b = run_id_edge_packing::<BigRat>(&g, &w, &ids, 24).unwrap();
@@ -92,28 +111,26 @@ fn all_vc_algorithms_cover_the_same_instance() {
     let c = run_kvy::<BigRat>(&g, &w, 1, 4, 100_000).unwrap();
     assert!(is_vertex_cover(&g, &c.cover));
 
-    let d = run_ps3(&g).unwrap();
+    let d = run_ps3(&g, g.max_degree()).unwrap();
     assert!(is_vertex_cover(&g, &d.cover));
 
     let e = run_rand_matching(&g, 5, 100_000).unwrap();
     assert!(is_vertex_cover(&g, &e.cover));
 
-    let f = run_vc_broadcast::<BigRat>(&g, &unit).unwrap();
+    let f = sec5::<BigRat>(&g, &unit).unwrap();
     assert!(is_vertex_cover(&g, &f.cover));
 }
 
 #[test]
 fn sec5_equals_sec4_on_incidence_structure() {
+    let opts = EngineOptions::default();
     let g = family::grid(3, 4);
     let w = WeightSpec::Uniform(9).draw_many(12, 33);
-    let sim = run_vc_broadcast::<BigRat>(&g, &w).unwrap();
+    let sim = sec5::<BigRat>(&g, &w).unwrap();
     let inst = incidence_instance(&g, &w);
-    let direct = anonet::core::sc_bcast::run_fractional_packing_with::<BigRat>(
-        &inst,
-        2,
-        g.max_degree(),
-        *w.iter().max().unwrap(),
-        1,
+    let direct = anonet::core::sc_bcast::run_fractional_packing::<BigRat>(
+        ScInstance::with_bounds(&inst, 2, g.max_degree(), *w.iter().max().unwrap()),
+        opts,
     )
     .unwrap();
     assert_eq!(sim.cover, direct.cover);
@@ -127,7 +144,7 @@ fn min_f_k_story() {
     let (f, k) = (inst.f(), inst.k());
     let opt = min_weight_set_cover(&inst).weight;
     let cover = if f <= k {
-        run_fractional_packing::<BigRat>(&inst).unwrap().cover
+        sec4::<BigRat>(&inst).unwrap().cover
     } else {
         run_trivial(&inst).unwrap().cover
     };
@@ -139,8 +156,8 @@ fn min_f_k_story() {
 fn value_types_agree_end_to_end() {
     let g = family::torus(3, 4);
     let w = WeightSpec::Uniform(20).draw_many(12, 5);
-    let big = run_edge_packing::<BigRat>(&g, &w).unwrap();
-    let fixed = run_edge_packing::<Rat128>(&g, &w).unwrap();
+    let big = sec3::<BigRat>(&g, &w).unwrap();
+    let fixed = sec3::<Rat128>(&g, &w).unwrap();
     assert_eq!(big.cover, fixed.cover);
     assert_eq!(big.trace.rounds, fixed.trace.rounds);
 }
@@ -164,7 +181,7 @@ fn batched_runner_matches_sequential_pipeline() {
         let batch = run_edge_packing_many::<BigRat>(&instances, threads);
         for ((g, w), run) in cases.iter().zip(batch) {
             let run = run.unwrap();
-            let solo = run_edge_packing::<BigRat>(g, w).unwrap();
+            let solo = sec3::<BigRat>(g, w).unwrap();
             assert_eq!(run.cover, solo.cover, "threads={threads}");
             assert_eq!(run.trace, solo.trace, "threads={threads}");
             assert!(is_vertex_cover(g, &run.cover));
@@ -177,6 +194,6 @@ fn batched_runner_matches_sequential_pipeline() {
 fn umbrella_reexports_are_usable() {
     // The re-export surface compiles and the basic types interoperate.
     let g = anonet::sim::Graph::from_edges(2, &[(0, 1)]).unwrap();
-    let run = run_edge_packing::<BigRat>(&g, &[1, 1]).unwrap();
+    let run = sec3::<BigRat>(&g, &[1, 1]).unwrap();
     assert_eq!(run.packing.dual_value(), BigRat::one());
 }
